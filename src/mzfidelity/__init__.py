@@ -10,7 +10,6 @@ input state that maximizes it.
 
 __version__ = "0.1.0"
 
-from ._kernels import active_backend
 from .exceptions import (ResourceLimitError, StationaryPointError,
                          UndefinedCircularMeanError, ZeroProbabilityOutcomeError)
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid
@@ -18,10 +17,11 @@ from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, LikelihoodTable,
                      Outcome, ScatteringMatrix, StateCoefficients,
                      build_scattering_matrix, fock_outcome_prob, fock_state,
                      likelihood_table, noon_outcome_prob, noon_state,
-                     scattering_entries, state_outcome_prob, transition_amplitude)
+                     outcome_distribution, scattering_entries, state_outcome_prob,
+                     transition_amplitude)
 from .bayes import (MeasurementRecord, PhasePosterior, SimulationResult,
-                    circular_summary, count_peaks, outcome_distribution,
-                    posterior_density, posterior_for_outcome, simulate_sequence)
+                    circular_summary, count_peaks, posterior_density,
+                    posterior_for_outcome, simulate_sequence)
 from .fidelity import (FidelityReport, SensitivityEstimate,
                        error_propagation_sensitivity, fidelity_sweep,
                        heisenberg_limit, mutual_information,
@@ -31,7 +31,6 @@ from .optimizer import (OptimizationResult, OptimizerConfig, optimize_input_stat
 
 __all__ = [
     "__version__",
-    "active_backend",
     "DEFAULT_GEOMETRY",
     "DEFAULT_GRID_SIZE",
     "FidelityReport",

@@ -11,12 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .exceptions import UndefinedCircularMeanError, ZeroProbabilityOutcomeError
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, LikelihoodTable,
                      Outcome, StateCoefficients, likelihood_table,
-                     scattering_entries, _check_phase, _clamp_probs)
+                     outcome_distribution, _check_phase)
 
 # relative height below which a strict local maximum is discarded as
 # quadrature ripple; genuine secondary modes in scope sit above 1e-4
@@ -190,16 +189,6 @@ def circular_summary(posterior: PhasePosterior):
     mean = float(np.angle(z))
     std = math.sqrt(-2.0 * math.log(min(resultant, 1.0)))
     return mean, std
-
-
-def outcome_distribution(state: StateCoefficients, phi: float,
-                         geometry: InterferometerGeometry = DEFAULT_GEOMETRY
-                         ) -> np.ndarray:
-    """Probabilities of all N+1 outcomes at one phase, ordered by n_c."""
-    phi = float(_check_phase(phi))
-    s11, s12, s21, s22 = scattering_entries(np.array([phi]), geometry)
-    amps = _kernels.state_amplitudes(state.coeffs, s11, s12, s21, s22)
-    return _clamp_probs(np.abs(amps[:, 0]) ** 2)
 
 
 def _posterior_from_log(log_likelihood: np.ndarray, grid: PhaseGrid,

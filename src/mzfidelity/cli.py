@@ -45,9 +45,9 @@ def _round12(value: float) -> float:
 def load_state(spec: str, n_photons) -> StateCoefficients:
     """Resolve a state spec: "fock", "noon", or a coefficient file path.
 
-    Coefficient files hold one "re im" pair per line for n = 0..N; they
-    are normalized on load (hand-edited values rarely hit unit norm
-    exactly).
+    Coefficient files hold one "re im" pair per line for n = 0..N, with
+    N at most ``MAX_PHOTONS``; they are normalized on load (hand-edited
+    values rarely hit unit norm exactly).
     """
     if spec == "fock":
         return fock_state(_require_n(n_photons))
@@ -65,6 +65,9 @@ def load_state(spec: str, n_photons) -> StateCoefficients:
                          f"'re im' pair per line ({exc})") from exc
     if coeffs.size == 0:
         raise ValueError(f"coefficient file {spec!r} is empty")
+    if coeffs.size > MAX_PHOTONS + 1:
+        raise ValueError(f"coefficient file {spec!r} has {coeffs.size} lines; "
+                         f"at most {MAX_PHOTONS + 1} (N <= {MAX_PHOTONS}) are supported")
     norm = np.linalg.norm(coeffs)
     if norm == 0:
         raise ValueError(f"coefficient file {spec!r} holds a zero vector")

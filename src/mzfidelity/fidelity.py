@@ -22,8 +22,7 @@ from .exceptions import ResourceLimitError, StationaryPointError
 from .grid import DEFAULT_GRID_SIZE
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, LikelihoodTable,
                      StateCoefficients, fock_state, likelihood_table, noon_state,
-                     _check_phase, _clamp_probs)
-from .bayes import outcome_distribution
+                     outcome_distribution, _check_phase, _clamp_probs)
 
 TWO_PI = 2.0 * math.pi
 COLUMN_SUM_TOL = 1e-8
@@ -66,8 +65,12 @@ def heisenberg_limit(n: int) -> float:
 def _mutual_information_bits(probs: np.ndarray, weight: float) -> float:
     totals = weight * probs.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_terms = np.log2((TWO_PI / totals)[:, None] * probs)
-        integrand = np.where(probs > 0.0, probs * log_terms, 0.0)
+        # one grid-sized temporary, updated in place (the optimizer calls
+        # this in its inner loop)
+        integrand = (TWO_PI / totals)[:, None] * probs
+        np.log2(integrand, out=integrand)
+        integrand *= probs
+    integrand[~(probs > 0.0)] = 0.0
     h = (weight / TWO_PI) * float(integrand.sum())
     # tiny negative round-off on flat tables
     return max(h, 0.0)

@@ -5,14 +5,28 @@ The device maps the two input ports (a, b) onto the two output ports
 coefficient vectors over the photon-number basis |n_a, (N-n)_b> with
 fixed total photon number N; measurement outcomes are the photon counts
 (n_c, n_d) at the outputs.
+
+The amplitude engine uses the factorization of the device unitary into
+two fixed balanced beam splitters around a diagonal phase stage (the
+SU(2) picture of Yurke, McCall & Klauder, PRA 33, 4033 (1986) and
+Campos, Saleh & Teich, PRA 40, 1371 (1989)):
+
+    S(phi) = L diag(e^{i(phi+kl1)}, e^{i kl2}) R,
+    L = [[1, 1], [-i, i]]/sqrt(2),  R = [[1, -i], [-1, -i]]/sqrt(2).
+
+Photon-number representations multiply like the 2x2 matrices, so the
+outcome amplitudes of a coefficient vector c on a phase grid are
+W_L (E * (W_R c)), with W_L and W_R built once per photon number and E
+the diagonal stage's phase factors.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid
 
 # probabilities below this are treated as exact zeros (keeps logs clean
@@ -20,9 +34,6 @@ from .grid import DEFAULT_GRID_SIZE, PhaseGrid
 PROB_FLOOR = 1e-300
 NORM_TOL = 1e-12
 UNITARITY_TOL = 1e-12
-
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -208,13 +219,28 @@ def noon_outcome_prob(n_total: int, outcome: Outcome, phi):
     return p if phi.ndim else float(p[0])
 
 
+def partition_weight(n_a: int, n_b: int, n_c: int, j: int) -> float:
+    """Exact-arithmetic transfer weight for one partition term.
+
+    sqrt(n_c! n_d! / (n_a! n_b!)) * C(n_a, j) * C(n_b, n_c - j): the
+    weight of sending j of the n_a photons of port a, and n_c - j of the
+    n_b photons of port b, to output c.
+    """
+    n_d = n_a + n_b - n_c
+    ratio = Fraction(math.factorial(n_c) * math.factorial(n_d),
+                     math.factorial(n_a) * math.factorial(n_b))
+    return math.comb(n_a, j) * math.comb(n_b, n_c - j) * math.sqrt(ratio)
+
+
 def transition_amplitude(smatrix: ScatteringMatrix,
                          n_a: int, n_b: int, n_c: int, n_d: int) -> complex:
     """Amplitude <n_c, n_d| applied to |n_a, n_b> under the device unitary.
 
     Photon number is conserved; ``n_a + n_b != n_c + n_d`` is a domain
     error.  Evaluated as a finite sum over transfer partitions with
-    log-gamma weights, stable up to at least 40 photons.
+    exact-integer weights (:func:`partition_weight`), stable up to at
+    least 40 photons.  This scalar sum is independent of the grid engine
+    behind :func:`likelihood_table` and serves as its reference.
     """
     counts = {"n_a": n_a, "n_b": n_b, "n_c": n_c, "n_d": n_d}
     for name, value in counts.items():
@@ -228,10 +254,103 @@ def transition_amplitude(smatrix: ScatteringMatrix,
     s = smatrix.entries
     amp = 0.0 + 0.0j
     for j in range(max(0, n_c - n_b), min(n_a, n_c) + 1):
-        weight = _kernels.partition_weight(n_a, n_b, n_c, j)
+        weight = partition_weight(n_a, n_b, n_c, j)
         amp += (s[0, 0] ** j * s[1, 0] ** (n_a - j)
                 * s[0, 1] ** (n_c - j) * s[1, 1] ** (n_b - n_c + j)) * weight
     return complex(amp)
+
+
+# ---------------------------------------------------------------------------
+# factorized amplitude engine
+# ---------------------------------------------------------------------------
+
+_I_POWERS = (1.0, 1j, -1.0, -1j)
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) of non-negative integers, rounded once to a float."""
+    # scale so the integer square root carries ~64 bits, well past the 53
+    # a double keeps; only the final int -> float conversion rounds
+    shift = max(0, 128 - num.bit_length() + den.bit_length())
+    shift += shift % 2
+    return math.ldexp(math.isqrt((num << shift) // den), -(shift // 2))
+
+
+@lru_cache(maxsize=None)
+def _transfer_matrices(n_total: int):
+    """Photon-number matrices W_L, W_R of the two fixed beam splitters.
+
+    Entry [n_out, n_in] is the amplitude from |n_in, N-n_in> to
+    |n_out, N-n_out>.  For a balanced splitter the partition sum has
+    equal-magnitude factors, so it collapses to an exact integer
+    Krawtchouk sum K times a phase i^p and a square root of a rational;
+    every entry is rounded once from that exact data.  The arrays are
+    shared between callers and therefore read-only.
+    """
+    size = n_total + 1
+    factorials = [math.factorial(n) for n in range(size)]
+    w_l = np.zeros((size, size), dtype=np.complex128)
+    w_r = np.zeros((size, size), dtype=np.complex128)
+    for n_in in range(size):
+        n_b = n_total - n_in
+        for n_out in range(size):
+            krawtchouk = sum((-1) ** j * math.comb(n_in, j) * math.comb(n_b, n_out - j)
+                             for j in range(max(0, n_out - n_b), min(n_in, n_out) + 1))
+            if krawtchouk == 0:
+                continue
+            magnitude = math.copysign(_sqrt_ratio(
+                krawtchouk ** 2 * factorials[n_out] * factorials[n_total - n_out],
+                factorials[n_in] * factorials[n_b] * 2 ** n_total), krawtchouk)
+            w_l[n_out, n_in] = _I_POWERS[(n_b - n_out - n_in) % 4] * magnitude
+            w_r[n_out, n_in] = _I_POWERS[(2 * n_in - n_b) % 4] * magnitude
+    w_l.flags.writeable = False
+    w_r.flags.writeable = False
+    return w_l, w_r
+
+
+def _phase_factors(n_total: int, phi: np.ndarray,
+                   geometry: InterferometerGeometry) -> np.ndarray:
+    """Diagonal stage E[n, k] = exp(i (n (phi_k + kl1) + (N - n) kl2))."""
+    n = np.arange(n_total + 1)
+    angles = (np.multiply.outer(n, phi + geometry.kl1)
+              + ((n_total - n) * geometry.kl2)[:, None])
+    return np.exp(1j * angles)
+
+
+def _outcome_amplitudes(coeffs: np.ndarray, phi: np.ndarray,
+                        geometry: InterferometerGeometry) -> np.ndarray:
+    """Amplitudes A[n_c, k] of a coefficient vector at the phases ``phi``.
+
+    Outcomes that vanish identically come out as exact zeros: each of
+    their Fourier coefficients W_L[n_c, n] (W_R c)[n] has an exactly zero
+    factor (an integer Krawtchouk zero, or equal-magnitude terms of
+    opposite sign), so no thresholding is needed.
+    """
+    n_total = coeffs.shape[0] - 1
+    w_l, w_r = _transfer_matrices(n_total)
+    return w_l @ (_phase_factors(n_total, phi, geometry) * (w_r @ coeffs)[:, None])
+
+
+def _amplitude_tensor(n_total: int, phi: np.ndarray,
+                      geometry: InterferometerGeometry) -> np.ndarray:
+    """Amplitudes A[n_a, n_c, k] of every basis input |n_a, N-n_a>.
+
+    Contracting the first axis with a coefficient vector gives
+    :func:`_outcome_amplitudes`; the optimizer evaluates many vectors
+    against one tensor.
+    """
+    w_l, w_r = _transfer_matrices(n_total)
+    return np.einsum("cn,nk,na->ack", w_l, _phase_factors(n_total, phi, geometry),
+                     w_r, optimize=True)
+
+
+def outcome_distribution(state: StateCoefficients, phi: float,
+                         geometry: InterferometerGeometry = DEFAULT_GEOMETRY
+                         ) -> np.ndarray:
+    """Probabilities of all N+1 outcomes at one phase, ordered by n_c."""
+    phi = float(_check_phase(phi))
+    amps = _outcome_amplitudes(state.coeffs, np.array([phi]), geometry)
+    return _clamp_probs(np.abs(amps[:, 0]) ** 2)
 
 
 def state_outcome_prob(state: StateCoefficients, phi: float,
@@ -247,11 +366,7 @@ def state_outcome_prob(state: StateCoefficients, phi: float,
     if outcome.total != state.n:
         raise ValueError(f"outcome counts {outcome.n_c}+{outcome.n_d} do not "
                          f"match the state photon number {state.n}")
-    phi = float(_check_phase(phi))
-    s11, s12, s21, s22 = scattering_entries(np.array([phi]), geometry)
-    amps = _kernels.state_amplitudes(state.coeffs, s11, s12, s21, s22)
-    p = np.abs(amps[outcome.n_c, 0]) ** 2
-    return float(_clamp_probs(np.array([p]))[0])
+    return float(outcome_distribution(state, phi, geometry)[outcome.n_c])
 
 
 @dataclass(eq=False)
@@ -290,8 +405,7 @@ def likelihood_table(state: StateCoefficients,
     unitary).
     """
     grid = PhaseGrid(grid_size)
-    s11, s12, s21, s22 = scattering_entries(grid.points, geometry)
-    amps = _kernels.state_amplitudes(state.coeffs, s11, s12, s21, s22)
+    amps = _outcome_amplitudes(state.coeffs, grid.points, geometry)
     probs = _clamp_probs(np.abs(amps) ** 2)
     outcomes = [Outcome(n_c, state.n - n_c) for n_c in range(state.n + 1)]
     return LikelihoodTable(grid=grid, probs=probs, outcomes=outcomes,

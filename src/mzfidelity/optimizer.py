@@ -19,9 +19,8 @@ from scipy.optimize import minimize
 from .fidelity import _mutual_information_bits, mutual_information
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, StateCoefficients,
-                     _check_photon_number, _clamp_probs, fock_state,
-                     likelihood_table, noon_state, scattering_entries)
-from . import _kernels
+                     _amplitude_tensor, _check_photon_number, _clamp_probs,
+                     fock_state, likelihood_table, noon_state)
 
 ZERO_NORM_TOL = 1e-15
 FIRST_NONZERO_TOL = 1e-12
@@ -115,11 +114,14 @@ def optimize_input_state(n_photons: int,
         config = OptimizerConfig()
 
     grid = PhaseGrid(config.search_grid_size)
-    entries = scattering_entries(grid.points, geometry)
-    tensor = _kernels.amplitude_tensor(*entries, n_photons)
-    tensor_flat = tensor.reshape(n_photons + 1, -1)
     dim = n_photons + 1
+    tensor_flat = _amplitude_tensor(n_photons, grid.points, geometry).reshape(dim, -1)
     evaluations = 0
+    # the objective runs thousands of times: reused buffers keep each call
+    # from allocating fresh grid-sized arrays, whose cost depends on the
+    # allocator's state
+    amps = np.empty(dim * grid.size, dtype=np.complex128)
+    probs = np.empty((dim, grid.size))
 
     def objective(x: np.ndarray) -> float:
         nonlocal evaluations
@@ -129,9 +131,10 @@ def optimize_input_state(n_photons: int,
             state = project_normalize(raw)
         except ValueError:
             return np.inf
-        amps = (state.coeffs @ tensor_flat).reshape(dim, grid.size)
-        probs = _clamp_probs(np.abs(amps) ** 2)
-        return -_mutual_information_bits(probs, grid.weight)
+        np.matmul(state.coeffs, tensor_flat, out=amps)
+        np.abs(amps.reshape(dim, grid.size), out=probs)
+        np.square(probs, out=probs)
+        return -_mutual_information_bits(_clamp_probs(probs), grid.weight)
 
     best_x = None
     best_value = -np.inf
@@ -144,7 +147,9 @@ def optimize_input_state(n_photons: int,
                                    "xatol": 1e-6})
         h_found = -float(result.fun)
         history.append(h_found)
-        if h_found > best_value:
+        # the optimum is often a continuous family of equal-H states, so a
+        # later restart must beat the incumbent by more than the tolerance
+        if h_found > best_value + config.tol_bits:
             best_value = h_found
             best_x = result.x
 

@@ -273,6 +273,12 @@ def test_coefficient_file_errors(tmp_path, capsys):
     mismatched.write_text("1 0\n")
     assert run_cli(["probs", "--state", str(mismatched), "--n", "3"], capsys)[0] == 2
 
+    # 42 lines is N = 41, one past the cap that --n enforces
+    too_long = tmp_path / "long.txt"
+    too_long.write_text("1 0\n" * 42)
+    code, _, err = run_cli(["probs", "--state", str(too_long), "--grid", "8"], capsys)
+    assert code == 2 and "40" in err
+
 
 # ---------------------------------------------------------------------------
 # manifests

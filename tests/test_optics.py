@@ -1,15 +1,22 @@
 """Scattering matrix, closed-form likelihoods, and the amplitude engine."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mzfidelity import (InterferometerGeometry, Outcome, PhaseGrid,
-                        StateCoefficients, build_scattering_matrix,
+import mzfidelity
+from mzfidelity import (DEFAULT_GEOMETRY, InterferometerGeometry, Outcome,
+                        PhaseGrid, StateCoefficients, build_scattering_matrix,
                         fock_outcome_prob, fock_state, likelihood_table,
                         noon_outcome_prob, noon_state, state_outcome_prob,
                         transition_amplitude)
+from mzfidelity.optics import (_amplitude_tensor, _outcome_amplitudes,
+                               partition_weight)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -196,6 +203,92 @@ def test_fock_reduction_of_general_state():
             general = state_outcome_prob(state, phi, outcome=Outcome(n_c, 6 - n_c))
             exact = fock_outcome_prob(6, Outcome(n_c, 6 - n_c), phi)
             assert general == pytest.approx(exact, abs=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# factorized engine vs the scalar partition sum
+# ---------------------------------------------------------------------------
+
+def test_partition_weight_values():
+    # single-photon routing weights are the plain matrix-element picks
+    assert partition_weight(1, 0, 1, 1) == 1.0
+    assert partition_weight(1, 0, 0, 0) == 1.0
+    # 2-photon bunching weight sqrt(2): coefficient of the (1,1)->(2,0) path
+    assert partition_weight(1, 1, 2, 1) == pytest.approx(np.sqrt(2), abs=1e-16)
+
+
+def test_vacuum_amplitude_is_one():
+    amps = _outcome_amplitudes(np.array([1.0 + 0j]), PhaseGrid(16).points,
+                               InterferometerGeometry(0.3, -1.1))
+    assert amps.shape == (1, 16)
+    assert np.all(amps == 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_engine_matches_partition_sum(n):
+    rng = np.random.default_rng(n)
+    geometry = InterferometerGeometry(0.3, -1.1)
+    coeffs = _random_state(rng, n).coeffs
+    phis = rng.uniform(-np.pi, np.pi, size=2)
+    amps = _outcome_amplitudes(coeffs, phis, geometry)
+    for k, phi in enumerate(phis):
+        s = build_scattering_matrix(phi, geometry)
+        for n_c in range(n + 1):
+            expected = sum(coeffs[n_a] * transition_amplitude(s, n_a, n - n_a,
+                                                              n_c, n - n_c)
+                           for n_a in range(n + 1))
+            assert abs(amps[n_c, k] - expected) < 1e-10
+
+
+def test_tensor_contraction_matches_engine():
+    rng = np.random.default_rng(11)
+    phis = PhaseGrid(64).points
+    for geometry in (DEFAULT_GEOMETRY, InterferometerGeometry(0.3, -1.1)):
+        for n in (1, 4, 9, 40):
+            c = _random_state(rng, n).coeffs
+            via_tensor = np.tensordot(c, _amplitude_tensor(n, phis, geometry),
+                                      axes=([0], [0]))
+            direct = _outcome_amplitudes(c, phis, geometry)
+            np.testing.assert_allclose(via_tensor, direct, atol=1e-13, rtol=0)
+
+
+@pytest.mark.parametrize("geometry", [DEFAULT_GEOMETRY,
+                                      InterferometerGeometry(0.3, -1.1)])
+@pytest.mark.parametrize("n,n_c", [(2, 1), (6, 3), (10, 5), (22, 11), (38, 19)])
+def test_cancelling_outcomes_are_exact_zeros(n, n_c, geometry):
+    # the two-sided superposition at these outcomes vanishes identically;
+    # the engine must produce true zeros, not last-ulp residue
+    amps = _outcome_amplitudes(noon_state(n).coeffs, PhaseGrid(256).points,
+                               geometry)
+    assert np.abs(amps[n_c]).max() == 0.0
+
+
+def test_completeness_and_closed_forms_up_to_photon_cap():
+    # criteria 01 and 02 stop at N = 25; the CLI accepts N up to 40
+    rng = np.random.default_rng(4040)
+    for n in range(26, 41):
+        for _ in range(5):
+            table = likelihood_table(_random_state(rng, n), grid_size=64)
+            np.testing.assert_allclose(table.probs.sum(axis=0), 1.0,
+                                       atol=1e-12, rtol=0)
+        fock = likelihood_table(fock_state(n), grid_size=256)
+        noon = likelihood_table(noon_state(n), grid_size=256)
+        phis = fock.grid.points
+        for n_c in range(n + 1):
+            outcome = Outcome(n_c, n - n_c)
+            np.testing.assert_allclose(
+                fock.probs[n_c], fock_outcome_prob(n, outcome, phis), atol=1e-10, rtol=0)
+            np.testing.assert_allclose(
+                noon.probs[n_c], noon_outcome_prob(n, outcome, phis), atol=1e-10, rtol=0)
+
+
+def test_import_emits_no_warning():
+    src = str(Path(mzfidelity.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-W", "error", "-c", "import mzfidelity"],
+                            env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------------------
