@@ -116,7 +116,7 @@ class _OutputSink:
 
 
 def _write_manifest(sink: _OutputSink, command: str, parameters: dict,
-                    outputs: dict) -> None:
+                    outputs: dict, diagnostics: dict = None) -> None:
     manifest = {
         "command": command,
         "parameters": parameters,
@@ -124,6 +124,8 @@ def _write_manifest(sink: _OutputSink, command: str, parameters: dict,
         "tool_version": __version__,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
     sink.write_aux(".manifest.json", manifest)
 
 
@@ -273,7 +275,9 @@ def cmd_optimize(args) -> int:
                                        max_iter=config.max_iterations,
                                        tol_bits=config.tol_bits,
                                        search_grid=config.search_grid_size),
-                    {"json": sink.primary_path()})
+                    {"json": sink.primary_path()},
+                    # convergence records stay out of the primary JSON
+                    {"restarts": result.restarts})
     return 0
 
 
@@ -380,8 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--n", type=int, required=True, help="total photon number")
     opt.add_argument("--seed", type=int, default=0)
     opt.add_argument("--restarts", type=int, default=16)
-    opt.add_argument("--max-iter", type=int, default=2000)
-    opt.add_argument("--tol-bits", type=float, default=1e-7)
+    opt.add_argument("--max-iter", type=int, default=2000,
+                     help="L-BFGS-B iteration limit of each restart "
+                          "(default %(default)s)")
+    opt.add_argument("--tol-bits", type=float, default=1e-7,
+                     help="a restart stops when an iteration improves H by "
+                          "less than this relative to max(|H|, 1); a later "
+                          "restart must beat the best by more than this "
+                          "(default %(default)s)")
     opt.add_argument("--search-grid", type=int, default=4096,
                      help="coarse grid used during the search")
     opt.set_defaults(func=cmd_optimize)

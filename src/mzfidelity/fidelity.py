@@ -62,18 +62,25 @@ def heisenberg_limit(n: int) -> float:
     return 1.0 / n
 
 
-def _mutual_information_bits(probs: np.ndarray, weight: float) -> float:
+def _information_terms(probs: np.ndarray, weight: float, out: np.ndarray = None):
+    """Unclamped H and the log ratio L = log2(2pi P_mk / I_m) it is built from.
+
+    H = (w/2pi) sum_mk P_mk L_mk, and dH/dP_mk = (w/2pi) L_mk because the
+    terms from differentiating I_m cancel.  L is 0 where P = 0.  ``out``,
+    if given, receives L (the optimizer reuses one buffer across calls).
+    """
     totals = weight * probs.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # one grid-sized temporary, updated in place (the optimizer calls
-        # this in its inner loop)
-        integrand = (TWO_PI / totals)[:, None] * probs
-        np.log2(integrand, out=integrand)
-        integrand *= probs
-    integrand[~(probs > 0.0)] = 0.0
-    h = (weight / TWO_PI) * float(integrand.sum())
+        log_ratio = np.multiply((TWO_PI / totals)[:, None], probs, out=out)
+        np.log2(log_ratio, out=log_ratio)
+    log_ratio[~(probs > 0.0)] = 0.0
+    h = (weight / TWO_PI) * float(np.vdot(probs, log_ratio))
+    return h, log_ratio
+
+
+def _mutual_information_bits(probs: np.ndarray, weight: float) -> float:
     # tiny negative round-off on flat tables
-    return max(h, 0.0)
+    return max(_information_terms(probs, weight)[0], 0.0)
 
 
 def mutual_information(table: LikelihoodTable) -> FidelityReport:

@@ -1,22 +1,33 @@
 """Search for input states that maximize the interferometer fidelity.
 
-The objective is the mutual information of the candidate's likelihood
-table over the 2(N+1) real degrees of freedom (real/imaginary parts of
-the coefficients).  Candidates are projected back to the unit sphere
-before evaluation, so the search itself is unconstrained; a global phase
-never changes the objective and is fixed by convention after projection.
-Multiple seeded Nelder-Mead restarts are used, the first two always
-starting from the two benchmark states (all photons in one port, and the
-two-sided superposition), so the reported optimum can never fall below
-either benchmark.
+The objective is the mutual information H of the candidate's likelihood
+table, as a function of the 2(N+1) real degrees of freedom (real and
+imaginary parts of the coefficients c).  The candidate is normalized,
+u = c/|c|, before evaluation, so the search is unconstrained; H changes
+neither along c (scale) nor along i*c (global phase), and the global
+phase of the winner is fixed by convention after the search.
+
+The amplitudes A = u T are linear in u through the engine's tensor T
+(axes: input, then outcome and phase), so the analytic gradient costs
+one more pass over T.  With P = |A|^2, I_m = w sum_k P_mk and
+G = dH/dP = (w/2pi) log2(2pi P / I_m):
+
+    g   = 2 conj(T conj(G A))            gradient with respect to u,
+    g_c = (g - u Re<u, g>) / |c|         gradient with respect to c,
+
+whose real and imaginary parts are the real gradient; it is orthogonal
+to c and to i*c.  Each restart is an L-BFGS-B search (Byrd, Lu, Nocedal
+and Zhu, SIAM J. Sci. Comput. 16, 1190 (1995)) on the coarse search
+grid.  The first two restarts always start from the two benchmark states
+(all photons in one port, and the two-sided superposition), so the
+reported optimum can never fall below either benchmark.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .fidelity import _mutual_information_bits, mutual_information
+from .fidelity import TWO_PI, _information_terms, mutual_information
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, StateCoefficients,
                      _amplitude_tensor, _check_photon_number, _clamp_probs,
@@ -61,6 +72,8 @@ class OptimizationResult:
     best_h_bits: float
     history: list = field(default_factory=list)
     evaluations: int = 0
+    # one {"success", "nit", "nfev", "message"} record per restart
+    restarts: list = field(default_factory=list)
 
 
 def project_normalize(raw) -> StateCoefficients:
@@ -92,61 +105,85 @@ def _seed_vectors(n_photons: int, config: OptimizerConfig) -> list:
     return seeds[:config.restarts]
 
 
+def _negative_information(n_photons: int, grid: PhaseGrid,
+                          geometry: InterferometerGeometry):
+    """The search objective: x = [Re c, Im c] -> (-H, -dH/dx) on ``grid``."""
+    dim = n_photons + 1
+    tensor = _amplitude_tensor(n_photons, grid.points, geometry).reshape(dim, -1)
+    # the objective runs hundreds of times per search: reused buffers keep
+    # each call from allocating fresh grid-sized arrays, whose cost depends
+    # on the allocator's state
+    amps = np.empty(tensor.shape[1], dtype=np.complex128)
+    probs = np.empty((dim, grid.size))
+    log_ratio = np.empty((dim, grid.size))
+
+    def objective(x: np.ndarray):
+        coeffs = x[:dim] + 1j * x[dim:]
+        norm = np.linalg.norm(coeffs)
+        unit = coeffs / norm
+        np.matmul(unit, tensor, out=amps)
+        np.abs(amps.reshape(dim, grid.size), out=probs)
+        np.square(probs, out=probs)
+        h, _ = _information_terms(_clamp_probs(probs), grid.weight, out=log_ratio)
+        # conj(G A) overwrites the amplitudes; conj(T @ conj(v)) needs no
+        # conjugated copy of the tensor
+        np.conjugate(amps, out=amps)
+        np.multiply(amps, log_ratio.ravel(), out=amps)
+        grad = (2.0 * grid.weight / TWO_PI) * np.conjugate(tensor @ amps)
+        grad -= unit * np.vdot(unit, grad).real
+        grad /= norm
+        return -h, -np.concatenate([grad.real, grad.imag])
+
+    return objective
+
+
 def optimize_input_state(n_photons: int,
                          config: OptimizerConfig = None,
                          geometry: InterferometerGeometry = DEFAULT_GEOMETRY
                          ) -> OptimizationResult:
     """Maximize the fidelity over all unit-norm input coefficient vectors.
 
-    Runs ``config.restarts`` independent Nelder-Mead searches on the
-    coarse search grid and re-evaluates the winner on the reporting grid.
-    Deterministic for a fixed seed.  Restarts that hit the iteration
-    budget are kept (their best value still enters the history).
+    Runs ``config.restarts`` independent L-BFGS-B searches with the
+    analytic gradient on the coarse search grid and re-evaluates the
+    winner on the reporting grid.  Each search stops after
+    ``config.max_iterations`` iterations or when an iteration improves H
+    by less than ``config.tol_bits`` relative to max(|H|, 1).  A later
+    restart replaces the incumbent only if it beats it by more than
+    ``config.tol_bits``.  Deterministic for a fixed seed.  Restarts that
+    hit the iteration budget are kept (their best value still enters the
+    history, and their record says ``success: False``).
 
     Returns
     -------
     OptimizationResult
-        ``history`` holds one best-found value per restart (search grid);
+        ``history`` holds one best-found value per restart (search grid)
+        and ``restarts`` each restart's convergence record;
         ``best_h_bits`` is the winner re-evaluated on the reporting grid.
     """
+    # scipy.optimize costs most of the package's import time; only this
+    # function needs it
+    from scipy.optimize import minimize
+
     n_photons = _check_photon_number(n_photons, minimum=1)
     if config is None:
         config = OptimizerConfig()
 
-    grid = PhaseGrid(config.search_grid_size)
     dim = n_photons + 1
-    tensor_flat = _amplitude_tensor(n_photons, grid.points, geometry).reshape(dim, -1)
-    evaluations = 0
-    # the objective runs thousands of times: reused buffers keep each call
-    # from allocating fresh grid-sized arrays, whose cost depends on the
-    # allocator's state
-    amps = np.empty(dim * grid.size, dtype=np.complex128)
-    probs = np.empty((dim, grid.size))
-
-    def objective(x: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        raw = x[:dim] + 1j * x[dim:]
-        try:
-            state = project_normalize(raw)
-        except ValueError:
-            return np.inf
-        np.matmul(state.coeffs, tensor_flat, out=amps)
-        np.abs(amps.reshape(dim, grid.size), out=probs)
-        np.square(probs, out=probs)
-        return -_mutual_information_bits(_clamp_probs(probs), grid.weight)
-
+    objective = _negative_information(n_photons, PhaseGrid(config.search_grid_size),
+                                      geometry)
     best_x = None
     best_value = -np.inf
     history = []
+    restarts = []
     for start in _seed_vectors(n_photons, config):
         x0 = np.concatenate([start.real, start.imag])
-        result = minimize(objective, x0, method="Nelder-Mead",
+        result = minimize(objective, x0, jac=True, method="L-BFGS-B",
                           options={"maxiter": config.max_iterations,
-                                   "fatol": config.tol_bits,
-                                   "xatol": 1e-6})
+                                   "ftol": config.tol_bits})
         h_found = -float(result.fun)
         history.append(h_found)
+        restarts.append({"success": bool(result.success), "nit": int(result.nit),
+                         "nfev": int(result.nfev), "message": str(result.message)})
         # the optimum is often a continuous family of equal-H states, so a
         # later restart must beat the incumbent by more than the tolerance
         if h_found > best_value + config.tol_bits:
@@ -157,4 +194,6 @@ def optimize_input_state(n_photons: int,
     report = mutual_information(
         likelihood_table(best_state, geometry, config.report_grid_size))
     return OptimizationResult(best_state=best_state, best_h_bits=report.h_bits,
-                              history=history, evaluations=evaluations)
+                              history=history,
+                              evaluations=sum(r["nfev"] for r in restarts),
+                              restarts=restarts)

@@ -195,6 +195,23 @@ def test_optimize_beats_benchmarks_and_repeats(capsys):
     assert out2 == out1  # bit-identical rerun
 
 
+def test_optimize_restart_records_in_manifest_only(tmp_path, capsys):
+    out_path = tmp_path / "opt.json"
+    argv = ["optimize", "--n", "2", "--seed", "7", "--restarts", "3",
+            "--max-iter", "1", "--search-grid", "512", "--grid", "1024",
+            "--out", str(out_path)]
+    assert run_cli(argv, capsys)[0] == 0
+    manifest = json.loads((tmp_path / "opt.json.manifest.json").read_text())
+    records = manifest["diagnostics"]["restarts"]
+    assert len(records) == 3
+    assert any(record["success"] is False for record in records)
+    assert all(record["nit"] <= 1 for record in records)
+    first = out_path.read_bytes()
+    assert b"success" not in first and b"nfev" not in first
+    assert run_cli(argv, capsys)[0] == 0
+    assert out_path.read_bytes() == first  # bit-identical replay
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -1,11 +1,19 @@
-"""Coefficient projection and the fidelity maximizer."""
+"""Coefficient projection, the objective's gradient and the fidelity maximizer."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mzfidelity import (OptimizerConfig, StateCoefficients, fock_state,
-                        likelihood_table, mutual_information, noon_state,
-                        optimize_input_state, project_normalize)
+import mzfidelity
+from mzfidelity import (DEFAULT_GEOMETRY, InterferometerGeometry, OptimizerConfig,
+                        PhaseGrid, StateCoefficients, fock_state, likelihood_table,
+                        mutual_information, noon_state, optimize_input_state,
+                        project_normalize)
+from mzfidelity.optimizer import _negative_information
 
 H_SINGLE_PHOTON = 1.0 / np.log(2.0) - 1.0
 
@@ -55,6 +63,37 @@ def test_config_validation():
         OptimizerConfig(tol_bits=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=-5)
+
+
+# ---------------------------------------------------------------------------
+# objective gradient
+# ---------------------------------------------------------------------------
+
+FD_STEP = 1e-5
+
+
+@pytest.mark.parametrize("geometry", [DEFAULT_GEOMETRY,
+                                      InterferometerGeometry(kl1=0.3, kl2=-1.1)])
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_gradient_matches_finite_differences(n, geometry):
+    rng = np.random.default_rng(1000 + n)
+    objective = _negative_information(n, PhaseGrid(1024), geometry)
+    dim = n + 1
+    for _ in range(3):
+        # unnormalized points: the gradient must carry the 1/|c| factor
+        x = rng.uniform(0.5, 3.0) * rng.standard_normal(2 * dim)
+        _, grad = objective(x)
+        finite = np.empty_like(x)
+        for i in range(x.size):
+            step = np.zeros_like(x)
+            step[i] = FD_STEP
+            finite[i] = (objective(x + step)[0] - objective(x - step)[0]) / (2 * FD_STEP)
+        assert np.linalg.norm(grad - finite) <= 1e-6 * np.linalg.norm(grad)
+        # H is flat along the scale direction c and the global phase i*c
+        phase_direction = np.concatenate([-x[dim:], x[:dim]])
+        for direction in (x, phase_direction):
+            cosine = grad @ direction / (np.linalg.norm(grad) * np.linalg.norm(direction))
+            assert abs(cosine) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +149,34 @@ def test_deterministic_for_fixed_seed():
     assert np.array_equal(a.best_state.coeffs, b.best_state.coeffs)
     assert a.history == b.history
     assert a.evaluations == b.evaluations
+
+
+def test_optimizer_works_at_photon_cap():
+    config = OptimizerConfig(restarts=2, search_grid_size=1024)
+    result = optimize_input_state(40, config)
+    floor = max(_h_of(fock_state(40), grid_size=config.report_grid_size),
+                _h_of(noon_state(40), grid_size=config.report_grid_size))
+    assert result.best_h_bits >= floor - 1e-6
+
+
+def test_restart_records():
+    result = optimize_input_state(2, SMALL)
+    assert len(result.restarts) == SMALL.restarts
+    for record in result.restarts:
+        assert set(record) == {"success", "nit", "nfev", "message"}
+        assert record["nit"] <= SMALL.max_iterations
+    assert result.evaluations == sum(record["nfev"] for record in result.restarts)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(mzfidelity.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import mzfidelity, sys; "
+            "assert not any(m.startswith('scipy') for m in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code],
+                            env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_photon_number_validation():
