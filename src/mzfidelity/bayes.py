@@ -211,10 +211,11 @@ def simulate_sequence(state: StateCoefficients,
     """Draw i.i.d. outcomes at a fixed phase and track the running posterior.
 
     Outcomes are sampled from P(m | true_phase) with a seeded generator,
-    so a fixed seed reproduces the record bit-for-bit.  The running
-    posterior multiplies likelihood rows in log space and renormalizes
-    after each shot.  By default only the final posterior is returned;
-    ``keep_history=True`` keeps one posterior per shot.
+    so a fixed seed reproduces the record bit-for-bit.  Each posterior is
+    exp(sum_m M_m log P(m|phi)) over the outcome counts M_m of its shots
+    (:meth:`LikelihoodTable.log_likelihood`), normalized.  By default only
+    the final posterior is returned; ``keep_history=True`` keeps one per
+    shot prefix.
 
     Returns
     -------
@@ -233,17 +234,13 @@ def simulate_sequence(state: StateCoefficients,
     draws = rng.choice(state.n + 1, size=shots, p=pmf)
 
     table = likelihood_table(state, geometry, grid_size)
-    with np.errstate(divide="ignore"):
-        log_rows = np.log(table.probs)
-
-    outcomes = [Outcome(int(n_c), state.n - int(n_c)) for n_c in draws]
-    log_likelihood = np.zeros(table.grid.size)
-    posteriors = []
-    for shot, n_c in enumerate(draws):
-        log_likelihood = log_likelihood + log_rows[n_c]
-        if keep_history or shot == shots - 1:
-            posteriors.append(_posterior_from_log(log_likelihood, table.grid,
-                                                  outcomes[shot]))
+    outcomes = [table.outcomes[n_c] for n_c in draws.tolist()]
+    # one row of counts per returned posterior: every prefix, or all shots
+    counts = (np.cumsum(np.eye(state.n + 1)[draws], axis=0) if keep_history
+              else np.bincount(draws, minlength=state.n + 1)[None, :])
+    posteriors = [_posterior_from_log(log_likelihood, table.grid, outcome)
+                  for log_likelihood, outcome
+                  in zip(table.log_likelihood(counts), outcomes[-len(counts):])]
     record = MeasurementRecord(true_phase=true_phase, seed=int(seed),
                                outcomes=outcomes)
     return SimulationResult(record=record, posteriors=posteriors)

@@ -26,8 +26,8 @@ from .exceptions import (ResourceLimitError, UndefinedCircularMeanError,
                          ZeroProbabilityOutcomeError)
 from .fidelity import fidelity_sweep, mutual_information
 from .grid import DEFAULT_GRID_SIZE
-from .optics import (InterferometerGeometry, Outcome, StateCoefficients,
-                     fock_state, likelihood_table, noon_state)
+from .optics import (STATE_FAMILIES, InterferometerGeometry, Outcome,
+                     StateCoefficients, likelihood_table)
 from .optimizer import OptimizerConfig, optimize_input_state
 
 MAX_PHOTONS = 40
@@ -49,10 +49,8 @@ def load_state(spec: str, n_photons) -> StateCoefficients:
     N at most ``MAX_PHOTONS``; they are normalized on load (hand-edited
     values rarely hit unit norm exactly).
     """
-    if spec == "fock":
-        return fock_state(_require_n(n_photons))
-    if spec == "noon":
-        return noon_state(_require_n(n_photons))
+    if spec in STATE_FAMILIES:
+        return STATE_FAMILIES[spec](_require_n(n_photons))
     path = Path(spec)
     try:
         rows = [line.split() for line in path.read_text().splitlines()
@@ -240,13 +238,7 @@ def cmd_optimize(args) -> int:
                              seed=args.seed,
                              search_grid_size=args.search_grid,
                              report_grid_size=args.grid)
-    geometry = _geometry(args)
-    print(f"optimizing N={args.n} with {config.restarts} restarts "
-          f"(seed {config.seed})", file=sys.stderr)
-    result = optimize_input_state(args.n, config, geometry)
-    for index, h_bits in enumerate(result.history):
-        print(f"restart {index + 1}/{config.restarts}: best H = "
-              f"{_fmt(h_bits)} bits", file=sys.stderr)
+    result = optimize_input_state(args.n, config, _geometry(args))
 
     payload = {
         "n_photons": args.n,

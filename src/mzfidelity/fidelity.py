@@ -20,8 +20,8 @@ import numpy as np
 
 from .exceptions import ResourceLimitError, StationaryPointError
 from .grid import DEFAULT_GRID_SIZE
-from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, LikelihoodTable,
-                     StateCoefficients, fock_state, likelihood_table, noon_state,
+from .optics import (DEFAULT_GEOMETRY, STATE_FAMILIES, InterferometerGeometry,
+                     LikelihoodTable, StateCoefficients, likelihood_table,
                      outcome_distribution, _check_phase, _clamp_probs)
 
 TWO_PI = 2.0 * math.pi
@@ -29,6 +29,8 @@ COLUMN_SUM_TOL = 1e-8
 SLOPE_TOL = 1e-12
 FD_STEP = 1e-5
 DEFAULT_COUNT_VECTOR_CAP = 1_000_000
+# largest compound table (count vectors x grid float64) that may be built
+MAX_COMPOUND_BYTES = 1 << 30
 
 
 @dataclass(eq=False)
@@ -78,11 +80,6 @@ def _information_terms(probs: np.ndarray, weight: float, out: np.ndarray = None)
     return h, log_ratio
 
 
-def _mutual_information_bits(probs: np.ndarray, weight: float) -> float:
-    # tiny negative round-off on flat tables
-    return max(_information_terms(probs, weight)[0], 0.0)
-
-
 def mutual_information(table: LikelihoodTable) -> FidelityReport:
     """Mutual information, in bits, carried by one use of the device.
 
@@ -90,16 +87,15 @@ def mutual_information(table: LikelihoodTable) -> FidelityReport:
     violating that is rejected rather than silently renormalized.
     """
     column_defect = float(np.abs(table.probs.sum(axis=0) - 1.0).max())
-    if column_defect > COLUMN_SUM_TOL:
-        raise ValueError(f"likelihood columns must sum to 1 (max defect "
-                         f"{column_defect:.3e} exceeds {COLUMN_SUM_TOL})")
-    h = _mutual_information_bits(table.probs, table.grid.weight)
+    # a NaN or infinite entry makes its column's defect NaN or infinite
+    if not column_defect <= COLUMN_SUM_TOL:
+        raise ValueError(f"likelihood columns must be finite and sum to 1 (max "
+                         f"defect {column_defect:.3e}, tolerance {COLUMN_SUM_TOL})")
+    # tiny negative round-off on flat tables
+    h = max(_information_terms(table.probs, table.grid.weight)[0], 0.0)
     return FidelityReport(h_bits=h, state_label=table.state_label,
                           n_photons=table.n_total, grid_size=table.grid.size,
                           outcome_count=table.outcome_count)
-
-
-_FAMILY_BUILDERS = {"fock": fock_state, "noon": noon_state}
 
 
 def fidelity_sweep(state_family, n_max: int = None,
@@ -113,7 +109,7 @@ def fidelity_sweep(state_family, n_max: int = None,
     """
     if isinstance(state_family, str):
         try:
-            builder = _FAMILY_BUILDERS[state_family]
+            builder = STATE_FAMILIES[state_family]
         except KeyError:
             raise ValueError(f"unknown state family {state_family!r}; "
                              "expected 'fock' or 'noon'") from None
@@ -150,8 +146,10 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int,
 
         P({M_m}|phi) = repeats!/(prod_m M_m!) prod_m P(m|phi)^{M_m}.
 
-    Enumeration is exact; the number of count vectors is capped by
-    ``max_count_vectors`` (a :class:`ResourceLimitError` beyond that).
+    All vectors are one :meth:`LikelihoodTable.log_likelihood` call plus
+    the log multinomial coefficient.  Enumeration is exact; the count
+    vectors are capped by ``max_count_vectors`` and the table by
+    ``MAX_COMPOUND_BYTES`` (a :class:`ResourceLimitError`, before building).
     """
     if int(repeats) != repeats or repeats < 1:
         raise ValueError(f"repeats must be a positive integer, got {repeats!r}")
@@ -162,21 +160,16 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int,
         raise ResourceLimitError(
             f"{n_vectors} compound count vectors exceed the cap of "
             f"{max_count_vectors}")
+    if n_vectors * table.grid.size * 8 > MAX_COMPOUND_BYTES:
+        raise ResourceLimitError(f"a {n_vectors} x {table.grid.size} compound table "
+                                 f"exceeds the cap of {MAX_COMPOUND_BYTES} bytes")
 
-    with np.errstate(divide="ignore"):
-        log_rows = np.log(table.probs)
-    log_repeats = math.lgamma(repeats + 1)
-
-    compound = np.empty((n_vectors, table.grid.size))
-    labels = []
-    for i, counts in enumerate(_count_vectors(repeats, n_outcomes)):
-        log_p = np.full(table.grid.size, log_repeats)
-        for m, count in enumerate(counts):
-            if count:
-                log_p -= math.lgamma(count + 1)
-                log_p = log_p + count * log_rows[m]
-        compound[i] = np.exp(log_p)
-        labels.append(counts)
+    labels = list(_count_vectors(repeats, n_outcomes))
+    counts = np.array(labels)
+    log_factorials = np.array([math.lgamma(k + 1) for k in range(repeats + 1)])
+    compound = table.log_likelihood(counts)
+    compound += (math.lgamma(repeats + 1) - log_factorials[counts].sum(axis=1))[:, None]
+    np.exp(compound, out=compound)
     compound = _clamp_probs(compound)
 
     compound_table = LikelihoodTable(

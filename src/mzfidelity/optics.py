@@ -132,6 +132,9 @@ def noon_state(n: int) -> StateCoefficients:
     return StateCoefficients(coeffs, label="noon")
 
 
+STATE_FAMILIES = {"fock": fock_state, "noon": noon_state}
+
+
 def _check_photon_number(n, minimum=0) -> int:
     if int(n) != n or n < minimum:
         raise ValueError(f"photon number must be an integer >= {minimum}, got {n!r}")
@@ -405,6 +408,20 @@ class LikelihoodTable:
             raise ValueError(f"outcome counts {outcome.n_c}+{outcome.n_d} do not "
                              f"match the table photon number {self.n_total}")
         return self.probs[outcome.n_c]
+
+    def log_likelihood(self, counts) -> np.ndarray:
+        """L[v, k] = sum_m counts[v, m] log P(m | phi_k) for each count vector.
+
+        ``counts`` has one row per count vector and one column per outcome
+        row.  0 log 0 is 0; a positive count on a cell where P = 0 gives
+        -inf, so ``exp`` of the result is exactly 0 there.
+        """
+        counts = np.asarray(counts, dtype=np.float64)
+        zero = self.probs == 0.0
+        out = counts @ np.log(np.where(zero, 1.0, self.probs))
+        for m in np.flatnonzero(zero.any(axis=1)):
+            out[np.ix_(counts[:, m] > 0, zero[m])] = -np.inf
+        return out
 
 
 def likelihood_table(state: StateCoefficients,

@@ -1,11 +1,13 @@
 """Posterior construction, peak counting, circular statistics, simulation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from mzfidelity import (Outcome, PhaseGrid, UndefinedCircularMeanError,
+from mzfidelity import (Outcome, PhaseGrid, StateCoefficients,
+                        UndefinedCircularMeanError,
                         ZeroProbabilityOutcomeError, circular_summary,
                         count_peaks, fock_state, likelihood_table, noon_state,
                         posterior_density, posterior_for_outcome,
@@ -262,11 +264,18 @@ def test_simulate_history_and_permutation_invariance():
     result = simulate_sequence(fock_state(2), true_phase=0.4, shots=16, seed=3,
                                grid_size=256, keep_history=True)
     assert len(result.posteriors) == 16
-    # recompute the final posterior from the reversed record: the product of
-    # likelihood rows does not care about outcome order
     table = likelihood_table(fock_state(2), grid_size=256)
     with np.errstate(divide="ignore"):
         log_rows = np.log(table.probs)
+    # posterior i holds the first i + 1 shots
+    prefix = np.zeros(256)
+    for outcome, posterior in zip(result.record.outcomes, result.posteriors):
+        prefix = prefix + log_rows[outcome.n_c]
+        density = np.exp(prefix - prefix.max())
+        density /= table.grid.integrate(density)
+        np.testing.assert_allclose(posterior.density, density, atol=1e-12)
+    # recompute the final posterior from the reversed record: the product of
+    # likelihood rows does not care about outcome order
     total = np.zeros(256)
     for outcome in reversed(result.record.outcomes):
         total = total + log_rows[outcome.n_c]
@@ -274,6 +283,29 @@ def test_simulate_history_and_permutation_invariance():
     reversed_density /= table.grid.integrate(reversed_density)
     np.testing.assert_allclose(result.final_posterior.density, reversed_density,
                                atol=1e-12)
+
+
+def test_simulate_long_record_matches_exact_sum():
+    # 1e5 shots: the final log posterior is the exactly rounded sum of the
+    # per-shot log-likelihoods (math.fsum); adding rows shot by shot drifts
+    # by ~1e-7 relative here
+    rng = np.random.default_rng(0)
+    coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
+    state = StateCoefficients(coeffs / np.linalg.norm(coeffs))
+    result = simulate_sequence(state, true_phase=0.7, shots=100_000, seed=3,
+                               grid_size=64)
+    table = likelihood_table(state, grid_size=64)
+    counts = np.bincount([o.n_c for o in result.record.outcomes], minlength=3)
+    with np.errstate(divide="ignore"):
+        log_rows = np.log(table.probs)
+    total = np.array([math.fsum(itertools.chain.from_iterable(
+        itertools.repeat(float(x), int(m)) for x, m in zip(column, counts)))
+        for column in log_rows.T])
+    exact = np.exp(total - total.max())
+    exact /= table.grid.integrate(exact)
+    # atol only admits subnormal values, whose relative precision is lost
+    np.testing.assert_allclose(result.final_posterior.density, exact,
+                               rtol=1e-9, atol=1e-300)
 
 
 def test_simulate_never_draws_impossible_outcome():

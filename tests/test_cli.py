@@ -183,7 +183,8 @@ OPT_ARGS = ["optimize", "--n", "2", "--seed", "7", "--restarts", "3",
 def test_optimize_beats_benchmarks_and_repeats(capsys):
     code, out1, err = run_cli(OPT_ARGS, capsys)
     assert code == 0
-    assert "restart" in err  # progress goes to stderr
+    # stderr is the manifest alone, with one convergence record per restart
+    assert len(json.loads(err)["diagnostics"]["restarts"]) == 3
     payload = json.loads(out1)
     fock_h, noon_h = 0.696668206, 0.0
     assert payload["best_h_bits"] >= max(fock_h, noon_h) - 1e-6
@@ -326,6 +327,10 @@ def test_manifest_on_stderr_without_out(capsys):
     assert code == 0
     assert json.loads(err)["command"] == "probs"
     assert out.startswith("phi,")
+    code, out, err = run_cli(OPT_ARGS, capsys)
+    assert code == 0
+    assert json.loads(err)["command"] == "optimize"
+    assert json.loads(out)["n_photons"] == 2
 
 
 def test_csv_is_locale_independent(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,11 @@ def test_single_photon_superposition_equals_fock():
 def test_rejects_unnormalized_columns():
     with pytest.raises(ValueError, match="sum to 1"):
         mutual_information(_table_from_rows([np.full(32, 0.3), np.full(32, 0.3)]))
+    # a NaN entry passes a plain "defect > tol" check and gives H = nan
+    rows = np.full((2, 32), 0.5)
+    rows[0, 5] = np.nan
+    with pytest.raises(ValueError, match="sum to 1"):
+        mutual_information(_table_from_rows(rows))
 
 
 def test_translation_invariance():
@@ -154,6 +160,12 @@ def test_repeat_once_is_identity():
 def test_repeating_no_information_gives_no_information():
     table = _table_from_rows([np.full(64, 0.5), np.full(64, 0.5)])
     assert repeated_mutual_information(table, 2).h_bits == pytest.approx(0.0, abs=1e-12)
+    # N=2 noon: phase-blind, and the coincidence row is exactly 0 (0 log 0)
+    table = likelihood_table(noon_state(2), grid_size=256)
+    assert not table.probs[1].any()
+    for repeats in (2, 5):
+        h = repeated_mutual_information(table, repeats).h_bits
+        assert math.isfinite(h) and h <= 1e-12
 
 
 @pytest.mark.parametrize("repeats", [2, 5, 10])
@@ -199,6 +211,17 @@ def test_repeats_resource_cap():
         repeated_mutual_information(table, 100, max_count_vectors=1000)
     with pytest.raises(ValueError):
         repeated_mutual_information(table, 0)
+    # 46376 count vectors (under the vector cap) x 8192 points x 8 B = 3.0 GB:
+    # refused by the byte cap before anything grid-sized is allocated
+    table = likelihood_table(fock_state(4), grid_size=8192)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="bytes"):
+            repeated_mutual_information(table, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
