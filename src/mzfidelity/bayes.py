@@ -91,83 +91,42 @@ def _wrap_angle(x: float) -> float:
     return math.pi if y == -math.pi else y
 
 
-def _cyclic_runs(values: np.ndarray):
-    """Run-length encode a cyclic sequence: (value, start, length) triples."""
-    size = len(values)
-    bounds = np.flatnonzero(values != np.roll(values, 1))
-    if bounds.size == 0:  # constant sequence: one run covering the circle
-        return [(float(values[0]), 0, size)]
-    runs = []
-    for i, start in enumerate(bounds):
-        stop = bounds[(i + 1) % bounds.size]
-        length = (stop - start) % size
-        if length == 0:
-            length = size
-        runs.append((float(values[start]), int(start), int(length)))
-    return runs
-
-
-def _merged_runs(values: np.ndarray, tol: float):
-    """Cyclic plateau groups: adjacent runs within ``tol`` of each other
-    merge into one.  Returns (max value, start, length) per group."""
-    runs = _cyclic_runs(values)
-    if len(runs) == 1:
-        return runs
-    # group fields: max value, start, length, first-run value, last-run value
-    groups = []
-    for value, start, length in runs:
-        if groups and abs(value - groups[-1][4]) <= tol:
-            tail = groups[-1]
-            tail[0] = max(tail[0], value)
-            tail[2] += length
-            tail[4] = value
-        else:
-            groups.append([value, start, length, value, value])
-    if len(groups) > 1 and abs(groups[0][3] - groups[-1][4]) <= tol:
-        # the plateau wraps across the seam between the last and first run
-        last = groups.pop()
-        head = groups[0]
-        head[0] = max(head[0], last[0])
-        head[1] = last[1]
-        head[2] += last[2]
-        head[3] = last[3]
-    return [(value, start, length) for value, start, length, _, _ in groups]
-
-
 def count_peaks(posterior: PhasePosterior,
                 rel_threshold: float = PEAK_REL_THRESHOLD) -> int:
     """Count local maxima of the posterior on the periodic grid.
 
-    Plateaus are merged and count once, located at the plateau midpoint;
-    adjacent values closer than ``rel_threshold`` times the global
-    maximum belong to the same plateau, which keeps round-off ripple on
-    flat stretches from registering as structure.  A plateau is a peak
-    when it is strictly greater than both cyclic neighbour plateaus and
-    exceeds the same relative threshold.  A posterior that is flat to
-    within the threshold is one maximal plateau spanning the whole
-    circle and counts as a single peak.  The peak list (location,
-    height), sorted by location, is stored on the posterior.
+    The plateaus are the cyclic segments between the points where the
+    density steps by more than ``rel_threshold`` times its maximum, so
+    round-off ripple on flat stretches registers no structure.  A plateau
+    counts once, at its midpoint with its maximum as height, and is a peak
+    when strictly above both neighbour plateaus and the same threshold.
+    With fewer than two such steps the whole circle is one plateau and one
+    peak, starting at the step, else at the first exact change (else 0).
+    The peak list (location, height), sorted by location, is stored on
+    the posterior.
     """
     density = posterior.density
     grid = posterior.grid
-    tol = rel_threshold * float(density.max())
-    groups = _merged_runs(density, tol)
+    top = float(density.max())
+    tol = rel_threshold * top
+    step = np.abs(density - np.roll(density, 1))
+    bounds = np.flatnonzero(step > tol)
 
     def midpoint(start, length):
         return _wrap_angle(grid.points[start] + 0.5 * (length - 1) * grid.weight)
 
-    peaks = []
-    if len(groups) == 1:
-        value, start, length = groups[0]
-        peaks.append((midpoint(start, length), value))
+    if bounds.size < 2:
+        starts = bounds if bounds.size else np.flatnonzero(step)
+        start = int(starts[0]) if starts.size else 0
+        peaks = [(midpoint(start, grid.size), top)]
     else:
-        n_groups = len(groups)
-        for i, (value, start, length) in enumerate(groups):
-            prev_value = groups[(i - 1) % n_groups][0]
-            next_value = groups[(i + 1) % n_groups][0]
-            if value > prev_value and value > next_value and value > tol:
-                peaks.append((midpoint(start, length), value))
-    peaks.sort(key=lambda pair: pair[0])
+        # plateau maxima, from the density rolled to start at a boundary
+        heights = np.maximum.reduceat(np.roll(density, -bounds[0]), bounds - bounds[0])
+        lengths = np.diff(bounds, append=bounds[0] + grid.size)
+        is_peak = ((heights > np.roll(heights, 1)) & (heights > np.roll(heights, -1))
+                   & (heights > tol))
+        peaks = sorted((midpoint(int(bounds[i]), int(lengths[i])), float(heights[i]))
+                       for i in np.flatnonzero(is_peak))
     posterior.peaks = peaks
     return len(peaks)
 

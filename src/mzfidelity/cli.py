@@ -5,7 +5,7 @@ version, timestamp) so results can be reproduced from the manifest
 alone.  With ``--out PATH`` the primary output goes to PATH, auxiliary
 JSON to derived paths and the manifest to ``PATH.manifest.json``;
 without ``--out`` the primary output goes to stdout and auxiliary
-JSON/manifest to stderr.
+JSON/manifest to stderr, as one JSON document.
 
 Exit codes: 0 success, 2 usage or parameter error, 3 domain error
 (zero-probability outcome), 4 resource cap exceeded.
@@ -114,7 +114,10 @@ class _OutputSink:
 
 
 def _write_manifest(sink: _OutputSink, command: str, parameters: dict,
-                    outputs: dict, diagnostics: dict = None) -> None:
+                    outputs: dict, diagnostics: dict = None,
+                    summary: dict = None) -> None:
+    """Write the manifest, after the ``summary`` sidecar if there is one;
+    on stderr the two are one document, {"summary", "manifest"}."""
     manifest = {
         "command": command,
         "parameters": parameters,
@@ -124,6 +127,11 @@ def _write_manifest(sink: _OutputSink, command: str, parameters: dict,
     }
     if diagnostics is not None:
         manifest["diagnostics"] = diagnostics
+    if summary is not None:
+        if sink.out is None:
+            manifest = {"summary": summary, "manifest": manifest}
+        else:
+            sink.write_aux(".summary.json", summary)
     sink.write_aux(".manifest.json", manifest)
 
 
@@ -190,12 +198,12 @@ def cmd_posterior(args) -> int:
         "circular_mean": None if mean is None else _round12(mean),
         "circular_std": None if std is None else _round12(std),
     }
-    sink.write_aux(".summary.json", summary)
     _write_manifest(sink, "posterior",
                     _common_parameters(args, state=args.state, n=state.n,
                                        outcome=args.outcome),
                     {"csv": sink.primary_path(),
-                     "summary": sink.aux_path(".summary.json")})
+                     "summary": sink.aux_path(".summary.json")},
+                    summary=summary)
     return 0
 
 
@@ -302,7 +310,6 @@ def cmd_simulate(args) -> int:
         "final_peaks": [{"phi": _round12(loc), "height": _round12(height)}
                         for loc, height in final.peaks],
     }
-    sink.write_aux(".summary.json", summary)
     outputs = {"csv": sink.primary_path(),
                "summary": sink.aux_path(".summary.json")}
     if sink.out is not None:
@@ -315,7 +322,7 @@ def cmd_simulate(args) -> int:
                     _common_parameters(args, state=args.state, n=state.n,
                                        phase=args.phase, shots=args.shots,
                                        seed=args.seed),
-                    outputs)
+                    outputs, summary=summary)
     return 0
 
 

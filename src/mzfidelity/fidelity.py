@@ -13,6 +13,7 @@ is provided for comparison against the 1/sqrt(N) and 1/N reference
 scalings.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,17 +21,22 @@ import numpy as np
 
 from .exceptions import ResourceLimitError, StationaryPointError
 from .grid import DEFAULT_GRID_SIZE
-from .optics import (DEFAULT_GEOMETRY, STATE_FAMILIES, InterferometerGeometry,
-                     LikelihoodTable, StateCoefficients, likelihood_table,
-                     outcome_distribution, _check_phase, _clamp_probs)
+from .optics import (DEFAULT_GEOMETRY, PROB_FLOOR, STATE_FAMILIES,
+                     InterferometerGeometry, LikelihoodTable, StateCoefficients,
+                     likelihood_table, outcome_distribution, _check_phase, _clamp_probs)
 
 TWO_PI = 2.0 * math.pi
+LOG2_E = 1.0 / math.log(2.0)
 COLUMN_SUM_TOL = 1e-8
 SLOPE_TOL = 1e-12
 FD_STEP = 1e-5
 DEFAULT_COUNT_VECTOR_CAP = 1_000_000
-# largest compound table (count vectors x grid float64) that may be built
-MAX_COMPOUND_BYTES = 1 << 30
+# cells (count vectors x grid points) in one block of the streamed compound
+# table: 1 MiB of float64, so a block and its temporaries stay in cache
+_COMPOUND_BLOCK_CELLS = 1 << 17
+# exp of a log below this is a normal float under PROB_FLOOR, which the
+# clamp zeroes anyway; raising lower logs to it skips exp's slow underflow
+_LOG_FLOOR = math.log(PROB_FLOOR) - 1.0
 
 
 @dataclass(eq=False)
@@ -64,20 +70,35 @@ def heisenberg_limit(n: int) -> float:
     return 1.0 / n
 
 
-def _information_terms(probs: np.ndarray, weight: float, out: np.ndarray = None):
-    """Unclamped H and the log ratio L = log2(2pi P_mk / I_m) it is built from.
+def _information_terms(probs: np.ndarray, weight: float,
+                       log_probs: np.ndarray = None, out: np.ndarray = None):
+    """Row terms of H and the log ratio L = log2(2pi P_mk / I_m) they use.
 
-    H = (w/2pi) sum_mk P_mk L_mk, and dH/dP_mk = (w/2pi) L_mk because the
-    terms from differentiating I_m cancel.  L is 0 where P = 0.  ``out``,
-    if given, receives L (the optimizer reuses one buffer across calls).
+    H = (w/2pi) sum_mk P_mk L_mk is the ``math.fsum`` of the row terms (row
+    sums, whose order no BLAS thread count changes), and dH/dP_mk =
+    (w/2pi) L_mk because the terms from differentiating I_m cancel.  L is
+    0 where P = 0.  ``log_probs`` (ln P where P > 0) gives L without a log2
+    of P.  ``out`` (which may be ``log_probs``), if given, receives L.
     """
     totals = weight * probs.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.multiply((TWO_PI / totals)[:, None], probs, out=out)
-        np.log2(log_ratio, out=log_ratio)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows with I_m = 0
+        if log_probs is None:
+            log_ratio = np.multiply((TWO_PI / totals)[:, None], probs, out=out)
+            np.log2(log_ratio, out=log_ratio)
+        else:
+            log_ratio = np.multiply(log_probs, LOG2_E, out=out)
+            log_ratio += np.log2(TWO_PI / totals)[:, None]
     log_ratio[~(probs > 0.0)] = 0.0
-    h = (weight / TWO_PI) * float(np.vdot(probs, log_ratio))
-    return h, log_ratio
+    rows = (weight / TWO_PI) * np.einsum("mk,mk->m", probs, log_ratio)
+    return rows, log_ratio
+
+
+def _check_columns(column_sums: np.ndarray) -> None:
+    column_defect = float(np.abs(column_sums - 1.0).max())
+    # a NaN or infinite entry makes its column's defect NaN or infinite
+    if not column_defect <= COLUMN_SUM_TOL:
+        raise ValueError(f"likelihood columns must be finite and sum to 1 (max "
+                         f"defect {column_defect:.3e}, tolerance {COLUMN_SUM_TOL})")
 
 
 def mutual_information(table: LikelihoodTable) -> FidelityReport:
@@ -86,13 +107,9 @@ def mutual_information(table: LikelihoodTable) -> FidelityReport:
     The table columns must each sum to 1 (complete outcome set); a table
     violating that is rejected rather than silently renormalized.
     """
-    column_defect = float(np.abs(table.probs.sum(axis=0) - 1.0).max())
-    # a NaN or infinite entry makes its column's defect NaN or infinite
-    if not column_defect <= COLUMN_SUM_TOL:
-        raise ValueError(f"likelihood columns must be finite and sum to 1 (max "
-                         f"defect {column_defect:.3e}, tolerance {COLUMN_SUM_TOL})")
+    _check_columns(table.probs.sum(axis=0))
     # tiny negative round-off on flat tables
-    h = max(_information_terms(table.probs, table.grid.weight)[0], 0.0)
+    h = max(math.fsum(_information_terms(table.probs, table.grid.weight)[0]), 0.0)
     return FidelityReport(h_bits=h, state_label=table.state_label,
                           n_photons=table.n_total, grid_size=table.grid.size,
                           outcome_count=table.outcome_count)
@@ -124,15 +141,14 @@ def fidelity_sweep(state_family, n_max: int = None,
             for state in states]
 
 
-def _count_vectors(total: int, bins: int):
-    """All length-``bins`` tuples of non-negative ints summing to ``total``,
-    in lexicographic order."""
-    if bins == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _count_vectors(total - first, bins - 1):
-            yield (first,) + rest
+def _count_vectors(total: int, bins: int) -> np.ndarray:
+    """All length-``bins`` rows of non-negative ints summing to ``total``, in
+    lexicographic order: the gaps between ``bins - 1`` bars placed, in
+    lexicographic order, among ``total + bins - 1`` slots."""
+    places = itertools.combinations(range(total + bins - 1), bins - 1)
+    bars = np.fromiter(itertools.chain.from_iterable(places), dtype=np.int64)
+    bars = bars.reshape(math.comb(total + bins - 1, bins - 1), bins - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=total + bins - 1) - 1
 
 
 def repeated_mutual_information(table: LikelihoodTable, repeats: int,
@@ -146,10 +162,13 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int,
 
         P({M_m}|phi) = repeats!/(prod_m M_m!) prod_m P(m|phi)^{M_m}.
 
-    All vectors are one :meth:`LikelihoodTable.log_likelihood` call plus
-    the log multinomial coefficient.  Enumeration is exact; the count
-    vectors are capped by ``max_count_vectors`` and the table by
-    ``MAX_COMPOUND_BYTES`` (a :class:`ResourceLimitError`, before building).
+    Enumeration is exact, and the compound table is streamed in blocks of
+    about 1 MiB: each takes L = log P from the counts
+    (:meth:`LikelihoodTable.log_likelihood_blocks`) and the multinomial
+    coefficient, then P = exp(L), one term of H per vector (its log ratio
+    built from L) and the column sums for the completeness check.  Memory
+    is one block plus the count vectors; more vectors than
+    ``max_count_vectors`` raise :class:`ResourceLimitError` up front.
     """
     if int(repeats) != repeats or repeats < 1:
         raise ValueError(f"repeats must be a positive integer, got {repeats!r}")
@@ -160,23 +179,28 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int,
         raise ResourceLimitError(
             f"{n_vectors} compound count vectors exceed the cap of "
             f"{max_count_vectors}")
-    if n_vectors * table.grid.size * 8 > MAX_COMPOUND_BYTES:
-        raise ResourceLimitError(f"a {n_vectors} x {table.grid.size} compound table "
-                                 f"exceeds the cap of {MAX_COMPOUND_BYTES} bytes")
 
-    labels = list(_count_vectors(repeats, n_outcomes))
-    counts = np.array(labels)
+    counts = _count_vectors(repeats, n_outcomes)
     log_factorials = np.array([math.lgamma(k + 1) for k in range(repeats + 1)])
-    compound = table.log_likelihood(counts)
-    compound += (math.lgamma(repeats + 1) - log_factorials[counts].sum(axis=1))[:, None]
-    np.exp(compound, out=compound)
-    compound = _clamp_probs(compound)
-
-    compound_table = LikelihoodTable(
-        grid=table.grid, probs=compound, outcomes=labels,
-        state_label=f"{table.state_label} x{repeats}",
-        n_total=table.n_total * repeats)
-    return mutual_information(compound_table)
+    log_coefficients = math.lgamma(repeats + 1) - log_factorials[counts].sum(axis=1)
+    block = max(1, _COMPOUND_BLOCK_CELLS // table.grid.size)
+    starts = range(0, n_vectors, block)
+    column_sums = np.zeros(table.grid.size)
+    terms = np.empty(n_vectors)
+    log_blocks = table.log_likelihood_blocks(counts[start:start + block]
+                                             for start in starts)
+    for start, log_probs in zip(starts, log_blocks):
+        log_probs += log_coefficients[start:start + block, None]
+        np.maximum(log_probs, _LOG_FLOOR, out=log_probs)
+        probs = _clamp_probs(np.exp(log_probs))
+        column_sums += probs.sum(axis=0)
+        terms[start:start + block] = _information_terms(
+            probs, table.grid.weight, log_probs, out=log_probs)[0]
+    _check_columns(column_sums)
+    return FidelityReport(h_bits=max(math.fsum(terms), 0.0),
+                          state_label=f"{table.state_label} x{repeats}",
+                          n_photons=table.n_total * repeats,
+                          grid_size=table.grid.size, outcome_count=n_vectors)
 
 
 _OBSERVABLES = {"n_c": 1, "n_d": 2, "n_c-n_d": 3}

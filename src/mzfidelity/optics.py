@@ -186,7 +186,8 @@ def build_scattering_matrix(phi: float,
 
 def _clamp_probs(p: np.ndarray) -> np.ndarray:
     p[p < PROB_FLOOR] = 0.0
-    np.clip(p, 0.0, 1.0, out=p)
+    # nothing is negative any more: one-sided is the same clip, and faster
+    np.minimum(p, 1.0, out=p)
     return p
 
 
@@ -388,9 +389,7 @@ def state_outcome_prob(state: StateCoefficients, phi: float,
 class LikelihoodTable:
     """P(m | phi_k) on a phase grid, one row per outcome.
 
-    ``outcomes`` lists the row labels: ``Outcome`` objects for single-shot
-    tables, tuples of repeat counts for compound (repeated-measurement)
-    tables.
+    ``outcomes`` lists the row labels, one ``Outcome`` per row.
     """
 
     grid: PhaseGrid
@@ -416,12 +415,20 @@ class LikelihoodTable:
         row.  0 log 0 is 0; a positive count on a cell where P = 0 gives
         -inf, so ``exp`` of the result is exactly 0 there.
         """
-        counts = np.asarray(counts, dtype=np.float64)
+        return next(self.log_likelihood_blocks([counts]))
+
+    def log_likelihood_blocks(self, count_blocks):
+        """Yield :meth:`log_likelihood` of each array of count vectors in
+        ``count_blocks``, working out log P and its zeros once."""
         zero = self.probs == 0.0
-        out = counts @ np.log(np.where(zero, 1.0, self.probs))
-        for m in np.flatnonzero(zero.any(axis=1)):
-            out[np.ix_(counts[:, m] > 0, zero[m])] = -np.inf
-        return out
+        log_probs = np.log(np.where(zero, 1.0, self.probs))
+        zero_rows = np.flatnonzero(zero.any(axis=1))
+        for counts in count_blocks:
+            counts = np.asarray(counts, dtype=np.float64)
+            out = counts @ log_probs
+            for m in zero_rows:
+                out[np.ix_(counts[:, m] > 0, zero[m])] = -np.inf
+            yield out
 
 
 def likelihood_table(state: StateCoefficients,

@@ -23,6 +23,7 @@ grid.  The first two restarts always start from the two benchmark states
 reported optimum can never fall below either benchmark.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,7 +125,8 @@ def _negative_information(n_photons: int, grid: PhaseGrid,
         np.matmul(unit, tensor, out=amps)
         np.abs(amps.reshape(dim, grid.size), out=probs)
         np.square(probs, out=probs)
-        h, _ = _information_terms(_clamp_probs(probs), grid.weight, out=log_ratio)
+        h = math.fsum(_information_terms(_clamp_probs(probs), grid.weight,
+                                         out=log_ratio)[0])
         # conj(G A) overwrites the amplitudes; conj(T @ conj(v)) needs no
         # conjugated copy of the tensor
         np.conjugate(amps, out=amps)

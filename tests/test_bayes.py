@@ -12,7 +12,7 @@ from mzfidelity import (Outcome, PhaseGrid, StateCoefficients,
                         count_peaks, fock_state, likelihood_table, noon_state,
                         posterior_density, posterior_for_outcome,
                         simulate_sequence)
-from mzfidelity.bayes import PhasePosterior
+from mzfidelity.bayes import PEAK_REL_THRESHOLD, PhasePosterior, _wrap_angle
 
 PHI_STAR_4_21 = 2.0 * math.atan(math.sqrt(4.0 / 21.0))  # 0.823033692...
 
@@ -155,6 +155,93 @@ def test_flat_posterior_is_one_whole_circle_plateau():
     noisy = np.full(64, 0.5) * (1.0 + 1e-15 * np.random.default_rng(0).standard_normal(64))
     post = PhasePosterior(grid=PhaseGrid(64), density=noisy / PhaseGrid(64).integrate(noisy))
     assert count_peaks(post) == 1
+
+
+def test_plateau_with_ripple_wraps_across_the_seam():
+    grid = PhaseGrid(16)
+    density = np.full(16, 0.25)
+    density[[14, 15, 0, 1]] = 2.0 * (1.0 + np.array([1e-15, -2e-15, 3e-15, 0.0]))
+    density[7] = 1.0
+    post = PhasePosterior(grid=grid, density=density)
+    assert count_peaks(post) == 2
+    # the plateau starts at index 14 and spans 4 points: midpoint -pi + 16.5 w
+    assert post.peaks[0] == (pytest.approx(-np.pi + 16.5 * grid.weight - 2 * np.pi,
+                                           abs=1e-15), density.max())
+    assert post.peaks[1] == (grid.points[7], 1.0)
+
+
+def test_flat_but_for_ripple_is_located_at_first_exact_change():
+    # flat to within the threshold: one whole-circle plateau, starting at
+    # the first index whose value differs at all from its predecessor
+    grid = PhaseGrid(16)
+    density = np.full(16, 1.0)
+    density[6:9] += 1e-15
+    post = PhasePosterior(grid=grid, density=density)
+    assert count_peaks(post) == 1
+    assert post.peaks == [(pytest.approx(-np.pi + 14.5 * grid.weight, abs=1e-15),
+                           density.max())]
+
+
+def test_single_drift_boundary_makes_one_plateau():
+    # steps of 1e-10 stay under the threshold, the drop of 6.3e-9 does not
+    grid = PhaseGrid(64)
+    density = np.roll(1.0 + 1e-10 * np.arange(64), 10)
+    post = PhasePosterior(grid=grid, density=density)
+    assert count_peaks(post) == 1
+    # one plateau starting at the drop (index 10), around the whole circle
+    assert post.peaks == [(pytest.approx(21 * np.pi / 64, abs=1e-15), density.max())]
+
+
+def _reference_peaks(density, grid, rel_threshold=PEAK_REL_THRESHOLD):
+    """Loop version of count_peaks: run-length encode the cyclic density,
+    merge neighbouring runs within the threshold, compare the groups."""
+    size = len(density)
+    tol = rel_threshold * float(density.max())
+    bounds = np.flatnonzero(density != np.roll(density, 1)).tolist()
+    runs = [(float(density[start]), start, (stop - start) % size or size)
+            for start, stop in zip(bounds, bounds[1:] + bounds[:1])]
+    groups = []  # max value, start, length, last run value
+    for value, start, length in runs or [(float(density[0]), 0, size)]:
+        if groups and abs(value - groups[-1][3]) <= tol:
+            groups[-1][0] = max(groups[-1][0], value)
+            groups[-1][2] += length
+            groups[-1][3] = value
+        else:
+            groups.append([value, start, length, value])
+    if len(groups) > 1 and abs(runs[0][0] - groups[-1][3]) <= tol:
+        last = groups.pop()
+        groups[0][:3] = [max(groups[0][0], last[0]), last[1], groups[0][2] + last[2]]
+    peaks = []
+    for i, (value, start, length, _) in enumerate(groups):
+        neighbours = (groups[i - 1][0], groups[(i + 1) % len(groups)][0])
+        if len(groups) == 1 or (value > max(neighbours) and value > tol):
+            location = grid.points[start] + 0.5 * (length - 1) * grid.weight
+            peaks.append((_wrap_angle(location), value))
+    return sorted(peaks)
+
+
+def test_peaks_match_loop_reference():
+    rng = np.random.default_rng(5)
+    posteriors = []
+    for size in (8, 16, 64, 256):
+        grid = PhaseGrid(size)
+        for n in (1, 2, 3, 4, 6, 10, 25):
+            coeffs = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            for state in (fock_state(n), noon_state(n),
+                          StateCoefficients(coeffs / np.linalg.norm(coeffs))):
+                table = likelihood_table(state, grid_size=size)
+                posteriors += [posterior_for_outcome(table, outcome)
+                               for outcome in table.outcomes
+                               if table.probs[outcome.n_c].any()]
+        for _ in range(20):  # ripple, drift and step plateaus
+            density = (1.0 + 1e-12 * rng.standard_normal(size)
+                       + 1e-11 * np.roll(np.arange(size), rng.integers(size))
+                       * rng.integers(2) + rng.integers(0, 3, size) * rng.integers(2))
+            posteriors.append(PhasePosterior(grid=grid, density=density))
+    for post in posteriors:
+        expected = _reference_peaks(post.density, post.grid)
+        assert count_peaks(post) == len(expected)
+        assert post.peaks == expected
 
 
 def test_relative_threshold_suppresses_ripple():

@@ -327,10 +327,31 @@ def test_manifest_on_stderr_without_out(capsys):
     assert code == 0
     assert json.loads(err)["command"] == "probs"
     assert out.startswith("phi,")
+    code, out, err = run_cli(["fidelity", "--state", "fock", "--n", "1",
+                              "--grid", "16"], capsys)
+    assert code == 0
+    assert json.loads(err)["command"] == "fidelity"
+    assert out.startswith("state,")
     code, out, err = run_cli(OPT_ARGS, capsys)
     assert code == 0
     assert json.loads(err)["command"] == "optimize"
     assert json.loads(out)["n_photons"] == 2
+    # a summary sidecar and the manifest make one document
+    code, out, err = run_cli(["posterior", "--state", "fock", "--n", "2",
+                              "--outcome", "1,1", "--grid", "8"], capsys)
+    assert code == 0
+    document = json.loads(err)
+    assert document["manifest"]["command"] == "posterior"
+    assert document["summary"]["outcome"] == {"n_c": 1, "n_d": 1}
+    assert out.startswith("phi,")
+    code, out, err = run_cli(["simulate", "--state", "noon", "--n", "3",
+                              "--phase", "0.4", "--shots", "20", "--grid", "64"],
+                             capsys)
+    assert code == 0
+    document = json.loads(err)
+    assert document["manifest"]["command"] == "simulate"
+    assert document["summary"]["shots"] == 20
+    assert out.startswith("shot,")
 
 
 def test_csv_is_locale_independent(capsys):

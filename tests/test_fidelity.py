@@ -2,11 +2,16 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mzfidelity
 from mzfidelity import (Outcome, PhaseGrid, ResourceLimitError,
                         StationaryPointError,
                         error_propagation_sensitivity, fidelity_sweep,
@@ -40,6 +45,39 @@ def _quadrature_oracle(row_functions, n_points=1_000_001):
             integrand = np.where(p > 0, p * np.log2(2 * np.pi * p / norm), 0.0)
         total += np.trapezoid(integrand, phi)
     return total / (2 * np.pi)
+
+
+def _lexicographic_count_vectors(total, bins):
+    if bins == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _lexicographic_count_vectors(total - first, bins - 1):
+            yield (first,) + rest
+
+
+def _long_double_compound_h(probs, repeats, log_cutoff=-60.0):
+    """Compound MI of ``repeats`` uses of a table, in np.longdouble.
+
+    A cell with P < e^-60 changes H by less than P (|log2 P| + log2 M) / M,
+    so the cells left out move it by under 1e-20 bits here.
+    """
+    n_outcomes, size = probs.shape
+    log_probs = np.log(np.maximum(probs, 1e-300))
+    long_log_probs = np.log(np.maximum(probs, 1e-300).astype(np.longdouble))
+    total = np.longdouble(0.0)
+    for counts in _lexicographic_count_vectors(repeats, n_outcomes):
+        log_coeff = math.lgamma(repeats + 1) - sum(math.lgamma(k + 1) for k in counts)
+        keep = np.flatnonzero(np.dot(counts, log_probs) + log_coeff > log_cutoff)
+        if keep.size == 0:
+            continue
+        log_l = np.longdouble(log_coeff) + sum(k * long_log_probs[m, keep]
+                                               for m, k in enumerate(counts) if k)
+        p = np.exp(log_l)
+        mass = p.sum()  # I_v M / 2pi
+        p_log2_p = (p * log_l).sum() / np.log(np.longdouble(2))
+        total += p_log2_p - mass * np.log2(mass / size)
+    return float(total / size)
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +119,25 @@ def test_rejects_unnormalized_columns():
     rows[0, 5] = np.nan
     with pytest.raises(ValueError, match="sum to 1"):
         mutual_information(_table_from_rows(rows))
+
+
+def test_information_does_not_depend_on_thread_count():
+    # a BLAS reduction may sum in an order that depends on its thread count
+    src = str(Path(mzfidelity.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("from mzfidelity import *; "
+            "single = mutual_information(likelihood_table(fock_state(25))); "
+            "compound = repeated_mutual_information(likelihood_table(fock_state(1)), 1200); "
+            "print(repr(single.h_bits), repr(compound.h_bits))")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_translation_invariance():
@@ -166,6 +223,10 @@ def test_repeating_no_information_gives_no_information():
     for repeats in (2, 5):
         h = repeated_mutual_information(table, repeats).h_bits
         assert math.isfinite(h) and h <= 1e-12
+    # vacuum input: one outcome, so one count vector
+    table = likelihood_table(fock_state(0), grid_size=32)
+    report = repeated_mutual_information(table, 3)
+    assert report.h_bits == 0.0 and report.outcome_count == 1
 
 
 @pytest.mark.parametrize("repeats", [2, 5, 10])
@@ -193,9 +254,9 @@ def test_compound_distribution_matches_multinomial_oracle():
         oracle[counts] = oracle.get(counts, 0.0) + p
     # reproduce the compound table through the public entry point
     from mzfidelity.fidelity import _count_vectors
-    compound_rows = []
-    for counts in _count_vectors(repeats, 3):
-        compound_rows.append((counts, oracle[counts]))
+    labels = [tuple(row) for row in _count_vectors(repeats, 3).tolist()]
+    assert labels == sorted(oracle)  # every count vector once, in lexicographic order
+    compound_rows = [(counts, oracle[counts]) for counts in labels]
     h_oracle = mutual_information(
         _table_from_rows([row for _, row in compound_rows], n_total=6)).h_bits
     h_package = repeated_mutual_information(table, repeats).h_bits
@@ -205,23 +266,33 @@ def test_compound_distribution_matches_multinomial_oracle():
     np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("family", ["fock", "noon"])
+@pytest.mark.parametrize("n,repeats", [(1, 1200), (2, 50), (3, 20)])
+def test_repeats_match_long_double_reference(family, n, repeats):
+    table = likelihood_table({"fock": fock_state, "noon": noon_state}[family](n),
+                             grid_size=8192)
+    h = repeated_mutual_information(table, repeats).h_bits
+    assert h == pytest.approx(_long_double_compound_h(table.probs, repeats), abs=1e-13)
+
+
 def test_repeats_resource_cap():
     table = likelihood_table(fock_state(4), grid_size=32)
     with pytest.raises(ResourceLimitError):
         repeated_mutual_information(table, 100, max_count_vectors=1000)
     with pytest.raises(ValueError):
         repeated_mutual_information(table, 0)
-    # 46376 count vectors (under the vector cap) x 8192 points x 8 B = 3.0 GB:
-    # refused by the byte cap before anything grid-sized is allocated
-    table = likelihood_table(fock_state(4), grid_size=8192)
+    # 46376 count vectors x 512 points is a 190 MB compound table; streamed
+    # in blocks, it runs in a small fraction of that
+    table = likelihood_table(fock_state(4), grid_size=512)
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match="bytes"):
-            repeated_mutual_information(table, 30)
+        report = repeated_mutual_information(table, 30)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak < 32 << 20
+    assert report.outcome_count == 46376
+    assert mutual_information(table).h_bits < report.h_bits < math.log2(46376)
 
 
 # ---------------------------------------------------------------------------
