@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage or parameter error, 3 domain error
 
 import argparse
 import datetime
+from collections import Counter
 import json
 import sys
 from pathlib import Path
@@ -31,6 +32,8 @@ from .optics import (STATE_FAMILIES, InterferometerGeometry, Outcome,
 from .optimizer import OptimizerConfig, optimize_input_state
 
 MAX_PHOTONS = 40
+# (N+1) x grid cells of one request; a run holds a few arrays of 16 B a cell
+MAX_GRID_CELLS = 1 << 22
 
 
 def _fmt(value: float) -> str:
@@ -81,6 +84,13 @@ def _require_n(n_photons) -> int:
     if n_photons < 0 or n_photons > MAX_PHOTONS:
         raise ValueError(f"--n must be between 0 and {MAX_PHOTONS}")
     return n_photons
+
+
+def _check_grid(n_photons: int, grid_size: int) -> None:
+    """Reject, before anything is built, more than MAX_GRID_CELLS cells."""
+    if (n_photons + 1) * grid_size > MAX_GRID_CELLS:
+        raise ResourceLimitError(f"(N+1) x grid = {n_photons + 1} x {grid_size} cells "
+                                 f"exceed the cap of {MAX_GRID_CELLS}")
 
 
 def _geometry(args) -> InterferometerGeometry:
@@ -140,10 +150,15 @@ def _quote(field: str) -> str:
     return f'"{field}"' if "," in field else field
 
 
-def _csv(header, rows) -> str:
-    lines = [",".join(_quote(f) for f in header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header, lines) -> str:
+    return "\n".join([",".join(_quote(f) for f in header), *lines]) + "\n"
+
+
+def _float_lines(*columns):
+    """CSV lines of the columns' values, each formatted as ``_fmt`` does."""
+    table = np.column_stack(columns)
+    row_format = ",".join(["%.12g"] * table.shape[1])
+    return (row_format % tuple(row.tolist()) for row in table)
 
 
 def _common_parameters(args, **extra) -> dict:
@@ -158,12 +173,11 @@ def _common_parameters(args, **extra) -> dict:
 
 def cmd_probs(args) -> int:
     state = load_state(args.state, args.n)
+    _check_grid(state.n, args.grid)
     table = likelihood_table(state, _geometry(args), args.grid)
     header = ["phi"] + [f"P({o.n_c},{o.n_d})" for o in table.outcomes]
-    rows = ([_fmt(phi)] + [_fmt(p) for p in table.probs[:, k]]
-            for k, phi in enumerate(table.grid.points))
     sink = _OutputSink(args.out)
-    sink.write_primary(_csv(header, rows))
+    sink.write_primary(_csv(header, _float_lines(table.grid.points, table.probs.T)))
     _write_manifest(sink, "probs",
                     _common_parameters(args, state=args.state, n=state.n),
                     {"csv": sink.primary_path()})
@@ -177,6 +191,7 @@ def cmd_posterior(args) -> int:
     except ValueError:
         raise ValueError(f"--outcome must be 'n_c,n_d', got {args.outcome!r}")
     outcome = Outcome(n_c, n_d)
+    _check_grid(state.n, args.grid)
     table = likelihood_table(state, _geometry(args), args.grid)
     posterior = posterior_for_outcome(table, outcome)
     peak_count = count_peaks(posterior)
@@ -186,9 +201,8 @@ def cmd_posterior(args) -> int:
         mean = std = None
 
     sink = _OutputSink(args.out)
-    rows = ([_fmt(phi), _fmt(p)]
-            for phi, p in zip(posterior.grid.points, posterior.density))
-    sink.write_primary(_csv(["phi", "density"], rows))
+    sink.write_primary(_csv(["phi", "density"],
+                            _float_lines(posterior.grid.points, posterior.density)))
     summary = {
         "outcome": {"n_c": outcome.n_c, "n_d": outcome.n_d},
         "grid_size": args.grid,
@@ -214,7 +228,7 @@ def cmd_fidelity(args) -> int:
         families = [token.strip() for token in args.sweep.split(",") if token.strip()]
         if args.n_max is None:
             raise ValueError("--n-max is required with --sweep")
-        _require_n(args.n_max)
+        _check_grid(_require_n(args.n_max), args.grid)
         for family in families:
             for report in fidelity_sweep(family, args.n_max, args.grid, geometry):
                 rows.append((family, report))
@@ -222,10 +236,11 @@ def cmd_fidelity(args) -> int:
         if args.state is None:
             raise ValueError("either --state or --sweep is required")
         state = load_state(args.state, args.n)
+        _check_grid(state.n, args.grid)
         report = mutual_information(likelihood_table(state, geometry, args.grid))
         rows.append((state.label, report))
 
-    csv_rows = ([label, str(report.n_photons), _fmt(report.h_bits)]
+    csv_rows = (f"{label},{report.n_photons},{_fmt(report.h_bits)}"
                 for label, report in rows)
     sink = _OutputSink(args.out)
     sink.write_primary(_csv(["state", "N", "H_bits"], csv_rows))
@@ -237,9 +252,7 @@ def cmd_fidelity(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if args.n is None:
-        raise ValueError("--n is required")
-    _require_n(args.n)
+    _check_grid(_require_n(args.n), max(args.grid, args.search_grid))
     config = OptimizerConfig(restarts=args.restarts,
                              max_iterations=args.max_iter,
                              tol_bits=args.tol_bits,
@@ -285,20 +298,18 @@ def cmd_simulate(args) -> int:
     state = load_state(args.state, args.n)
     if args.shots < 1:
         raise ValueError("--shots must be at least 1")
+    _check_grid(state.n, args.grid)
     result = simulate_sequence(state, _geometry(args), true_phase=args.phase,
                                shots=args.shots, seed=args.seed,
                                grid_size=args.grid)
     outcomes = result.record.outcomes
-    rows = ([str(i), str(o.n_c), str(o.n_d)] for i, o in enumerate(outcomes))
+    rows = (f"{i},{o.n_c},{o.n_d}" for i, o in enumerate(outcomes))
     sink = _OutputSink(args.out)
     sink.write_primary(_csv(["shot", "n_c", "n_d"], rows))
 
     final = result.final_posterior
     peak_count = count_peaks(final)
-    frequencies = {}
-    for outcome in outcomes:
-        key = f"{outcome.n_c},{outcome.n_d}"
-        frequencies[key] = frequencies.get(key, 0) + 1
+    frequencies = Counter(f"{o.n_c},{o.n_d}" for o in outcomes)
     summary = {
         "true_phase": args.phase,
         "shots": args.shots,
@@ -313,10 +324,9 @@ def cmd_simulate(args) -> int:
     outputs = {"csv": sink.primary_path(),
                "summary": sink.aux_path(".summary.json")}
     if sink.out is not None:
-        posterior_rows = ([_fmt(phi), _fmt(p)]
-                          for phi, p in zip(final.grid.points, final.density))
         posterior_path = Path(str(sink.out) + ".posterior.csv")
-        posterior_path.write_text(_csv(["phi", "density"], posterior_rows))
+        posterior_path.write_text(_csv(["phi", "density"],
+                                       _float_lines(final.grid.points, final.density)))
         outputs["posterior_csv"] = str(posterior_path)
     _write_manifest(sink, "simulate",
                     _common_parameters(args, state=args.state, n=state.n,

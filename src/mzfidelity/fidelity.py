@@ -23,13 +23,13 @@ from .exceptions import ResourceLimitError, StationaryPointError
 from .grid import DEFAULT_GRID_SIZE
 from .optics import (DEFAULT_GEOMETRY, PROB_FLOOR, STATE_FAMILIES,
                      InterferometerGeometry, LikelihoodTable, StateCoefficients,
-                     likelihood_table, outcome_distribution, _check_phase, _clamp_probs)
+                     likelihood_table, _check_phase, _clamp_probs, _outcome_amplitudes,
+                     _phase_factors)
 
 TWO_PI = 2.0 * math.pi
 LOG2_E = 1.0 / math.log(2.0)
 COLUMN_SUM_TOL = 1e-8
 SLOPE_TOL = 1e-12
-FD_STEP = 1e-5
 DEFAULT_COUNT_VECTOR_CAP = 1_000_000
 # cells (count vectors x grid points) in one block of the streamed compound
 # table: 1 MiB of float64, so a block and its temporaries stay in cache
@@ -203,46 +203,39 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int,
                           grid_size=table.grid.size, outcome_count=n_vectors)
 
 
-_OBSERVABLES = {"n_c": 1, "n_d": 2, "n_c-n_d": 3}
-
-
 def _observable_values(name: str, n_total: int) -> np.ndarray:
-    key = name.replace(" ", "").replace("−", "-")
-    if key not in _OBSERVABLES:
-        raise ValueError(f"unknown observable {name!r}; expected 'n_c', 'n_d' "
-                         "or 'n_c - n_d'")
     n_c = np.arange(n_total + 1, dtype=np.float64)
-    if key == "n_c":
-        return n_c
-    if key == "n_d":
-        return n_total - n_c
-    return 2.0 * n_c - n_total
+    values = {"n_c": n_c, "n_d": n_total - n_c, "n_c-n_d": 2.0 * n_c - n_total}
+    try:
+        return values[name.replace(" ", "").replace("−", "-")]
+    except KeyError:
+        raise ValueError(f"unknown observable {name!r}; expected 'n_c', 'n_d' "
+                         "or 'n_c - n_d'") from None
 
 
 def error_propagation_sensitivity(state: StateCoefficients,
                                   geometry: InterferometerGeometry = DEFAULT_GEOMETRY,
                                   observable: str = "n_c",
-                                  working_point: float = 0.5 * math.pi,
-                                  fd_step: float = FD_STEP) -> SensitivityEstimate:
+                                  working_point: float = 0.5 * math.pi
+                                  ) -> SensitivityEstimate:
     """Classical single-peak sensitivity estimate at a working point.
 
     delta_phi = delta_m / |d mean(m) / d phi|, with the mean and variance
-    of the observable computed exactly from the outcome probabilities and
-    the slope by a central finite difference of step ``fd_step``.  A
+    of the observable and its exact slope (no difference step) from one
+    engine call on the phase stages E and i n E, which give the amplitudes
+    A_m and dA_m/dphi, with dP_m/dphi = 2 Re(conj(A_m) dA_m/dphi).  A
     vanishing slope (|slope| < 1e-12) means the estimate is undefined and
     raises :class:`StationaryPointError`.
     """
     working_point = float(_check_phase(working_point))
     values = _observable_values(observable, state.n)
-
-    def mean_at(phi):
-        return float(values @ outcome_distribution(state, phi, geometry))
-
-    pmf = outcome_distribution(state, working_point, geometry)
+    stage = _phase_factors(state.n, np.array([working_point]), geometry)
+    stage = np.hstack([stage, 1j * np.arange(state.n + 1)[:, None] * stage])
+    amps, slopes = _outcome_amplitudes(state.coeffs, stage).T
+    pmf = _clamp_probs(np.abs(amps) ** 2)
     mean = float(values @ pmf)
     variance = float((values ** 2) @ pmf) - mean ** 2
-    slope = (mean_at(working_point + fd_step)
-             - mean_at(working_point - fd_step)) / (2.0 * fd_step)
+    slope = float(values @ (2.0 * (amps.conj() * slopes).real))
     if abs(slope) < SLOPE_TOL:
         raise StationaryPointError(
             f"mean observable is stationary at phi={working_point!r}; "

@@ -17,7 +17,7 @@ Campos, Saleh & Teich, PRA 40, 1371 (1989)):
 Photon-number representations multiply like the 2x2 matrices, so the
 outcome amplitudes of a coefficient vector c on a phase grid are
 W_L (E * (W_R c)), with W_L and W_R built once per photon number and E
-the diagonal stage's phase factors.
+the diagonal stage's phase factors (i n E gives the exact dA/dphi).
 """
 
 import math
@@ -333,31 +333,25 @@ def _phase_factors(n_total: int, phi: np.ndarray,
     return np.exp(1j * angles)
 
 
-def _outcome_amplitudes(coeffs: np.ndarray, phi: np.ndarray,
-                        geometry: InterferometerGeometry) -> np.ndarray:
-    """Amplitudes A[n_c, k] of a coefficient vector at the phases ``phi``.
+def _outcome_amplitudes(coeffs: np.ndarray, stage: np.ndarray) -> np.ndarray:
+    """Amplitudes A[n_c, k] = (W_L (stage * (W_R c)))[n_c, k], N+1 = len(stage).
 
-    Outcomes that vanish identically come out as exact zeros: each of
-    their Fourier coefficients W_L[n_c, n] (W_R c)[n] has an exactly zero
-    factor (an integer Krawtchouk zero, or equal-magnitude terms of
-    opposite sign), so no thresholding is needed.
+    The stage E of :func:`_phase_factors` gives the amplitudes at its
+    phases, i n E their phase derivatives.  Outcomes that vanish
+    identically come out as exact zeros: each of their Fourier
+    coefficients W_L[n_c, n] (W_R c)[n] has an exactly zero factor (an
+    integer Krawtchouk zero, or equal-magnitude terms of opposite sign).
     """
-    n_total = coeffs.shape[0] - 1
-    w_l, w_r = _transfer_matrices(n_total)
-    return w_l @ (_phase_factors(n_total, phi, geometry) * (w_r @ coeffs)[:, None])
+    w_l, w_r = _transfer_matrices(stage.shape[0] - 1)
+    return w_l @ (stage * (w_r @ coeffs)[:, None])
 
 
-def _amplitude_tensor(n_total: int, phi: np.ndarray,
-                      geometry: InterferometerGeometry) -> np.ndarray:
-    """Amplitudes A[n_a, n_c, k] of every basis input |n_a, N-n_a>.
-
-    Contracting the first axis with a coefficient vector gives
-    :func:`_outcome_amplitudes`; the optimizer evaluates many vectors
-    against one tensor.
-    """
-    w_l, w_r = _transfer_matrices(n_total)
-    return np.einsum("cn,nk,na->ack", w_l, _phase_factors(n_total, phi, geometry),
-                     w_r, optimize=True)
+def _outcome_amplitudes_transpose(values: np.ndarray, stage: np.ndarray) -> np.ndarray:
+    """v -> W_R^T sum_k stage[n, k] (W_L^T v)[n, k], the transpose of
+    :func:`_outcome_amplitudes`: sum(v * A(c)) = c @ this."""
+    w_l, w_r = _transfer_matrices(stage.shape[0] - 1)
+    # the sum over k first: (W_L^T v)[n, k] never exists
+    return w_r.T @ np.einsum("mn,mn->n", w_l, values @ stage.T)
 
 
 def outcome_distribution(state: StateCoefficients, phi: float,
@@ -365,7 +359,8 @@ def outcome_distribution(state: StateCoefficients, phi: float,
                          ) -> np.ndarray:
     """Probabilities of all N+1 outcomes at one phase, ordered by n_c."""
     phi = float(_check_phase(phi))
-    amps = _outcome_amplitudes(state.coeffs, np.array([phi]), geometry)
+    amps = _outcome_amplitudes(state.coeffs,
+                               _phase_factors(state.n, np.array([phi]), geometry))
     return _clamp_probs(np.abs(amps[:, 0]) ** 2)
 
 
@@ -441,7 +436,8 @@ def likelihood_table(state: StateCoefficients,
     unitary).
     """
     grid = PhaseGrid(grid_size)
-    amps = _outcome_amplitudes(state.coeffs, grid.points, geometry)
+    amps = _outcome_amplitudes(state.coeffs,
+                               _phase_factors(state.n, grid.points, geometry))
     probs = _clamp_probs(np.abs(amps) ** 2)
     outcomes = [Outcome(n_c, state.n - n_c) for n_c in range(state.n + 1)]
     return LikelihoodTable(grid=grid, probs=probs, outcomes=outcomes,

@@ -7,13 +7,13 @@ u = c/|c|, before evaluation, so the search is unconstrained; H changes
 neither along c (scale) nor along i*c (global phase), and the global
 phase of the winner is fixed by convention after the search.
 
-The amplitudes A = u T are linear in u through the engine's tensor T
-(axes: input, then outcome and phase), so the analytic gradient costs
-one more pass over T.  With P = |A|^2, I_m = w sum_k P_mk and
-G = dH/dP = (w/2pi) log2(2pi P / I_m):
+The amplitudes A = M u = W_L (E * (W_R u)) are linear in u, and the phase
+stage E is built once per search, so the analytic gradient costs one pass
+of the engine's transpose M^T, in O(N x grid) memory.  With P = |A|^2,
+I_m = w sum_k P_mk and G = dH/dP = (w/2pi) log2(2pi P / I_m):
 
-    g   = 2 conj(T conj(G A))            gradient with respect to u,
-    g_c = (g - u Re<u, g>) / |c|         gradient with respect to c,
+    g   = 2 conj(M^T(conj(A) G))     gradient with respect to u,
+    g_c = (g - u Re<u, g>) / |c|     gradient with respect to c,
 
 whose real and imaginary parts are the real gradient; it is orthogonal
 to c and to i*c.  Each restart is an L-BFGS-B search (Byrd, Lu, Nocedal
@@ -31,8 +31,9 @@ import numpy as np
 from .fidelity import TWO_PI, _information_terms, mutual_information
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, StateCoefficients,
-                     _amplitude_tensor, _check_photon_number, _clamp_probs,
-                     fock_state, likelihood_table, noon_state)
+                     _check_photon_number, _clamp_probs, _outcome_amplitudes,
+                     _outcome_amplitudes_transpose, _phase_factors, fock_state,
+                     likelihood_table, noon_state)
 
 ZERO_NORM_TOL = 1e-15
 FIRST_NONZERO_TOL = 1e-12
@@ -110,11 +111,10 @@ def _negative_information(n_photons: int, grid: PhaseGrid,
                           geometry: InterferometerGeometry):
     """The search objective: x = [Re c, Im c] -> (-H, -dH/dx) on ``grid``."""
     dim = n_photons + 1
-    tensor = _amplitude_tensor(n_photons, grid.points, geometry).reshape(dim, -1)
+    stage = _phase_factors(n_photons, grid.points, geometry)
     # the objective runs hundreds of times per search: reused buffers keep
     # each call from allocating fresh grid-sized arrays, whose cost depends
     # on the allocator's state
-    amps = np.empty(tensor.shape[1], dtype=np.complex128)
     probs = np.empty((dim, grid.size))
     log_ratio = np.empty((dim, grid.size))
 
@@ -122,16 +122,15 @@ def _negative_information(n_photons: int, grid: PhaseGrid,
         coeffs = x[:dim] + 1j * x[dim:]
         norm = np.linalg.norm(coeffs)
         unit = coeffs / norm
-        np.matmul(unit, tensor, out=amps)
-        np.abs(amps.reshape(dim, grid.size), out=probs)
+        amps = _outcome_amplitudes(unit, stage)
+        np.abs(amps, out=probs)
         np.square(probs, out=probs)
         h = math.fsum(_information_terms(_clamp_probs(probs), grid.weight,
                                          out=log_ratio)[0])
-        # conj(G A) overwrites the amplitudes; conj(T @ conj(v)) needs no
-        # conjugated copy of the tensor
         np.conjugate(amps, out=amps)
-        np.multiply(amps, log_ratio.ravel(), out=amps)
-        grad = (2.0 * grid.weight / TWO_PI) * np.conjugate(tensor @ amps)
+        np.multiply(amps, log_ratio, out=amps)
+        grad = (2.0 * grid.weight / TWO_PI) * np.conjugate(
+            _outcome_amplitudes_transpose(amps, stage))
         grad -= unit * np.vdot(unit, grad).real
         grad /= norm
         return -h, -np.concatenate([grad.real, grad.imag])

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from mzfidelity import cli
 from mzfidelity.cli import main
 
 H_SINGLE_PHOTON = 1.0 / math.log(2.0) - 1.0
@@ -70,6 +71,27 @@ def test_probs_rejects_bad_grid(capsys):
     code, _, _ = run_cli(["probs", "--state", "fock", "--n", "1", "--grid", "1"],
                          capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["probs", "--state", "fock", "--n", "40", "--grid", "64"],
+    ["posterior", "--state", "noon", "--n", "40", "--outcome", "20,20", "--grid", "64"],
+    ["fidelity", "--state", "fock", "--n", "40", "--grid", "64"],
+    ["fidelity", "--sweep", "fock", "--n-max", "40", "--grid", "64"],
+    ["optimize", "--n", "40", "--restarts", "1", "--search-grid", "64", "--grid", "16"],
+    ["optimize", "--n", "40", "--restarts", "1", "--search-grid", "16", "--grid", "64"],
+    ["simulate", "--state", "fock", "--n", "40", "--phase", "1", "--grid", "64"],
+])
+def test_grid_cap_rejects_before_building(argv, monkeypatch, tmp_path, capsys):
+    # 41 x 64 cells exceed a cap of 1000; 41 x 24 do not
+    monkeypatch.setattr(cli, "MAX_GRID_CELLS", 1000)
+    out = tmp_path / "out.csv"
+    code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+    assert code == 4
+    assert "cap" in err
+    assert stdout == "" and not list(tmp_path.iterdir())
+    fitting = [value if value != "64" else "24" for value in argv]
+    assert run_cli(fitting, capsys)[0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 import mzfidelity
 from mzfidelity import (Outcome, PhaseGrid, ResourceLimitError,
-                        StationaryPointError,
+                        StateCoefficients, StationaryPointError,
                         error_propagation_sensitivity, fidelity_sweep,
                         fock_state, heisenberg_limit, likelihood_table,
                         mutual_information, noon_state,
@@ -169,6 +169,35 @@ def test_bound_counts_only_reachable_outcomes():
     assert report.h_bits <= math.log2(2)
 
 
+def _assert_holevo_bounds(h_bits, chi, n):
+    # H <= chi <= log2(N+1)
+    assert h_bits <= chi + 1e-12
+    assert chi <= math.log2(n + 1) + 1e-12
+
+
+@pytest.mark.parametrize("family", ["fock", "noon"])
+def test_holevo_bound_on_benchmark_sweeps(family, holevo_bits):
+    # the acceptance sweeps: N = 1..25 on 8192 points
+    builder = {"fock": fock_state, "noon": noon_state}[family]
+    for n, report in enumerate(fidelity_sweep(family, 25, 8192), start=1):
+        _assert_holevo_bounds(report.h_bits, holevo_bits(builder(n).coeffs), n)
+
+
+def test_holevo_bound_on_random_states(holevo_bits):
+    rng = np.random.default_rng(88)
+    for n in (5, 10, 25, 40):
+        for _ in range(3):
+            raw = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            state = StateCoefficients(raw / np.linalg.norm(raw))
+            h = mutual_information(likelihood_table(state)).h_bits
+            _assert_holevo_bounds(h, holevo_bits(state.coeffs), n)
+
+
+def test_two_photon_superposition_carries_nothing_for_any_measurement(holevo_bits):
+    # W_R maps |2,0> + |0,2> onto |1,1> (Hong-Ou-Mandel), so chi = 0
+    assert holevo_bits(noon_state(2).coeffs) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -305,6 +334,17 @@ def test_sensitivity_recovers_classical_scaling(n):
                                              working_point=np.pi / 2)
     assert estimate.delta_phi == pytest.approx(standard_limit(n), abs=1e-6)
     assert estimate.delta_phi == pytest.approx(estimate.delta_m / abs(estimate.slope))
+
+
+@pytest.mark.parametrize("n", [1, 4, 16, 25, 40])
+def test_sensitivity_slope_is_exact(n):
+    # the mean count of the one-port input is N sin^2(phi/2): slope N sin(phi)/2
+    rng = np.random.default_rng(n)
+    for phi in rng.uniform(0.3, np.pi - 0.3, size=4):
+        estimate = error_propagation_sensitivity(fock_state(n), observable="n_c",
+                                                 working_point=phi)
+        expected = n * math.sin(phi) / 2
+        assert abs(estimate.slope - expected) <= 1e-12 * abs(expected)
 
 
 def test_sensitivity_other_observables():

@@ -15,8 +15,8 @@ from mzfidelity import (DEFAULT_GEOMETRY, InterferometerGeometry, Outcome,
                         fock_outcome_prob, fock_state, likelihood_table,
                         noon_outcome_prob, noon_state, state_outcome_prob,
                         transition_amplitude)
-from mzfidelity.optics import (_amplitude_tensor, _outcome_amplitudes,
-                               partition_weight)
+from mzfidelity.optics import (_outcome_amplitudes, _outcome_amplitudes_transpose,
+                               _phase_factors, partition_weight)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -25,6 +25,10 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def _random_state(rng, n):
     c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
     return StateCoefficients(c / np.linalg.norm(c))
+
+
+def _amplitudes(coeffs, phis, geometry):
+    return _outcome_amplitudes(coeffs, _phase_factors(coeffs.size - 1, phis, geometry))
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +222,8 @@ def test_partition_weight_values():
 
 
 def test_vacuum_amplitude_is_one():
-    amps = _outcome_amplitudes(np.array([1.0 + 0j]), PhaseGrid(16).points,
-                               InterferometerGeometry(0.3, -1.1))
+    amps = _amplitudes(np.array([1.0 + 0j]), PhaseGrid(16).points,
+                       InterferometerGeometry(0.3, -1.1))
     assert amps.shape == (1, 16)
     assert np.all(amps == 1.0)
 
@@ -230,7 +234,7 @@ def test_engine_matches_partition_sum(n):
     geometry = InterferometerGeometry(0.3, -1.1)
     coeffs = _random_state(rng, n).coeffs
     phis = rng.uniform(-np.pi, np.pi, size=2)
-    amps = _outcome_amplitudes(coeffs, phis, geometry)
+    amps = _amplitudes(coeffs, phis, geometry)
     for k, phi in enumerate(phis):
         s = build_scattering_matrix(phi, geometry)
         for n_c in range(n + 1):
@@ -240,16 +244,35 @@ def test_engine_matches_partition_sum(n):
             assert abs(amps[n_c, k] - expected) < 1e-10
 
 
-def test_tensor_contraction_matches_engine():
+def test_transpose_is_the_engine_transposed():
+    # sum v * A(c) == c . A^T(v): the optimizer's gradient runs on A^T
     rng = np.random.default_rng(11)
     phis = PhaseGrid(64).points
     for geometry in (DEFAULT_GEOMETRY, InterferometerGeometry(0.3, -1.1)):
         for n in (1, 4, 9, 40):
-            c = _random_state(rng, n).coeffs
-            via_tensor = np.tensordot(c, _amplitude_tensor(n, phis, geometry),
-                                      axes=([0], [0]))
-            direct = _outcome_amplitudes(c, phis, geometry)
-            np.testing.assert_allclose(via_tensor, direct, atol=1e-13, rtol=0)
+            stage = _phase_factors(n, phis, geometry)
+            c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+            v = (rng.standard_normal((n + 1, phis.size))
+                 + 1j * rng.standard_normal((n + 1, phis.size)))
+            forward = np.sum(v * _outcome_amplitudes(c, stage))
+            transposed = c @ _outcome_amplitudes_transpose(v, stage)
+            assert abs(forward - transposed) <= 1e-12 * abs(forward)
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 40])
+def test_derivative_stage_matches_central_difference(n):
+    # the stage i n E gives dA/dphi (the error-propagation slope uses it)
+    rng = np.random.default_rng(n)
+    geometry = InterferometerGeometry(0.3, -1.1)
+    coeffs = _random_state(rng, n).coeffs
+    phis = rng.uniform(-np.pi, np.pi, size=4)
+    step = 1e-5
+    stage = _phase_factors(n, phis, geometry)
+    exact = _outcome_amplitudes(coeffs, 1j * np.arange(n + 1)[:, None] * stage)
+    central = (_amplitudes(coeffs, phis + step, geometry)
+               - _amplitudes(coeffs, phis - step, geometry)) / (2 * step)
+    # truncation error h^2 |d^3A/dphi^3| / 6, and |d^3A/dphi^3| <~ N^3 here
+    np.testing.assert_allclose(exact, central, atol=n ** 3 * step ** 2, rtol=0)
 
 
 @pytest.mark.parametrize("geometry", [DEFAULT_GEOMETRY,
@@ -258,8 +281,7 @@ def test_tensor_contraction_matches_engine():
 def test_cancelling_outcomes_are_exact_zeros(n, n_c, geometry):
     # the two-sided superposition at these outcomes vanishes identically;
     # the engine must produce true zeros, not last-ulp residue
-    amps = _outcome_amplitudes(noon_state(n).coeffs, PhaseGrid(256).points,
-                               geometry)
+    amps = _amplitudes(noon_state(n).coeffs, PhaseGrid(256).points, geometry)
     assert np.abs(amps[n_c]).max() == 0.0
 
 

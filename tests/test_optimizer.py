@@ -1,8 +1,10 @@
 """Coefficient projection, the objective's gradient and the fidelity maximizer."""
 
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,12 @@ SMALL = OptimizerConfig(restarts=4, max_iterations=300, seed=7,
 
 def _h_of(state, grid_size=2048):
     return mutual_information(likelihood_table(state, grid_size=grid_size)).h_bits
+
+
+def _assert_under_holevo_bound(result, chi):
+    # H <= chi <= log2(N+1) for the winner of every search
+    assert result.best_h_bits <= chi + 1e-12
+    assert chi <= math.log2(result.best_state.n + 1) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +108,22 @@ def test_gradient_matches_finite_differences(n, geometry):
 # optimization
 # ---------------------------------------------------------------------------
 
+def test_objective_memory_is_linear_in_photon_number():
+    # the objective holds the (N+1) x grid phase stage and amplitudes, not
+    # an (N+1)^2 x grid tensor (105 MB at N = 40 on 4096 points)
+    x = np.random.default_rng(40).standard_normal(82)
+    tracemalloc.start()
+    try:
+        objective = _negative_information(40, PhaseGrid(4096),
+                                          InterferometerGeometry(0.3, -1.1))
+        objective(x)
+        objective(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+
+
 def test_objective_invariant_under_global_phase():
     rng = np.random.default_rng(17)
     raw = rng.standard_normal(5) + 1j * rng.standard_normal(5)
@@ -110,9 +134,10 @@ def test_objective_invariant_under_global_phase():
         assert _h_of(rotated, grid_size=512) == pytest.approx(h_base, abs=1e-12)
 
 
-def test_single_photon_optimum_is_a_basis_vector():
+def test_single_photon_optimum_is_a_basis_vector(holevo_bits):
     result = optimize_input_state(1, SMALL)
     assert result.best_h_bits >= H_SINGLE_PHOTON - 1e-6
+    _assert_under_holevo_bound(result, holevo_bits(result.best_state.coeffs))
     # the winner is (numerically) all weight on one port
     assert np.abs(result.best_state.coeffs).max() > 0.999
     # dense scan over the whole N=1 state space: nothing beats the
@@ -126,11 +151,12 @@ def test_single_photon_optimum_is_a_basis_vector():
     assert best_scan <= result.best_h_bits + 1e-6
 
 
-def test_seeded_benchmarks_are_a_floor():
+def test_seeded_benchmarks_are_a_floor(holevo_bits):
     for n in (2, 3):
         result = optimize_input_state(n, SMALL)
         floor = max(_h_of(fock_state(n)), _h_of(noon_state(n)))
         assert result.best_h_bits >= floor - 1e-6
+        _assert_under_holevo_bound(result, holevo_bits(result.best_state.coeffs))
 
 
 def test_result_bookkeeping():
@@ -151,12 +177,13 @@ def test_deterministic_for_fixed_seed():
     assert a.evaluations == b.evaluations
 
 
-def test_optimizer_works_at_photon_cap():
+def test_optimizer_works_at_photon_cap(holevo_bits):
     config = OptimizerConfig(restarts=2, search_grid_size=1024)
     result = optimize_input_state(40, config)
     floor = max(_h_of(fock_state(40), grid_size=config.report_grid_size),
                 _h_of(noon_state(40), grid_size=config.report_grid_size))
     assert result.best_h_bits >= floor - 1e-6
+    _assert_under_holevo_bound(result, holevo_bits(result.best_state.coeffs))
 
 
 def test_restart_records():
