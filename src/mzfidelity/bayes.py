@@ -91,12 +91,11 @@ def _wrap_angle(x: float) -> float:
     return math.pi if y == -math.pi else y
 
 
-def count_peaks(posterior: PhasePosterior,
-                rel_threshold: float = PEAK_REL_THRESHOLD) -> int:
+def count_peaks(posterior: PhasePosterior) -> int:
     """Count local maxima of the posterior on the periodic grid.
 
     The plateaus are the cyclic segments between the points where the
-    density steps by more than ``rel_threshold`` times its maximum, so
+    density steps by more than ``PEAK_REL_THRESHOLD`` times its maximum, so
     round-off ripple on flat stretches registers no structure.  A plateau
     counts once, at its midpoint with its maximum as height, and is a peak
     when strictly above both neighbour plateaus and the same threshold.
@@ -108,7 +107,7 @@ def count_peaks(posterior: PhasePosterior,
     density = posterior.density
     grid = posterior.grid
     top = float(density.max())
-    tol = rel_threshold * top
+    tol = PEAK_REL_THRESHOLD * top
     step = np.abs(density - np.roll(density, 1))
     bounds = np.flatnonzero(step > tol)
 

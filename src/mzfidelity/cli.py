@@ -2,10 +2,11 @@
 
 Every run serializes a manifest (command, full parameter set, tool
 version, timestamp) so results can be reproduced from the manifest
-alone.  With ``--out PATH`` the primary output goes to PATH, auxiliary
-JSON to derived paths and the manifest to ``PATH.manifest.json``;
-without ``--out`` the primary output goes to stdout and auxiliary
-JSON/manifest to stderr, as one JSON document.
+alone.  With ``--out PATH`` the primary output goes to PATH, a summary
+and any extra files to derived paths and the manifest to
+``PATH.manifest.json``; without ``--out`` the primary output goes to
+stdout, extra files are not written, and the summary and manifest go to
+stderr as one JSON document.  ``_emit`` alone applies this rule.
 
 Exit codes: 0 success, 2 usage or parameter error, 3 domain error
 (zero-probability outcome), 4 resource cap exceeded.
@@ -34,6 +35,8 @@ from .optimizer import OptimizerConfig, optimize_input_state
 MAX_PHOTONS = 40
 # (N+1) x grid cells of one request; a run holds a few arrays of 16 B a cell
 MAX_GRID_CELLS = 1 << 22
+# shots of one simulate run, which holds about 100 B a shot
+MAX_SHOTS = 1 << 22
 
 
 def _fmt(value: float) -> str:
@@ -97,52 +100,11 @@ def _geometry(args) -> InterferometerGeometry:
     return InterferometerGeometry(kl1=args.kl1, kl2=args.kl2)
 
 
-class _OutputSink:
-    """Routes the primary stream, auxiliary JSON files and the manifest."""
-
-    def __init__(self, out: str):
-        self.out = Path(out) if out else None
-
-    def write_primary(self, text: str) -> None:
-        if self.out is None:
-            sys.stdout.write(text)
-        else:
-            self.out.write_text(text)
-
-    def write_aux(self, suffix: str, payload: dict) -> None:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if self.out is None:
-            sys.stderr.write(text)
-        else:
-            Path(str(self.out) + suffix).write_text(text)
-
-    def aux_path(self, suffix: str) -> str:
-        return "stderr" if self.out is None else str(self.out) + suffix
-
-    def primary_path(self) -> str:
-        return "stdout" if self.out is None else str(self.out)
-
-
-def _write_manifest(sink: _OutputSink, command: str, parameters: dict,
-                    outputs: dict, diagnostics: dict = None,
-                    summary: dict = None) -> None:
-    """Write the manifest, after the ``summary`` sidecar if there is one;
-    on stderr the two are one document, {"summary", "manifest"}."""
-    manifest = {
-        "command": command,
-        "parameters": parameters,
-        "outputs": outputs,
-        "tool_version": __version__,
-        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    if diagnostics is not None:
-        manifest["diagnostics"] = diagnostics
-    if summary is not None:
-        if sink.out is None:
-            manifest = {"summary": summary, "manifest": manifest}
-        else:
-            sink.write_aux(".summary.json", summary)
-    sink.write_aux(".manifest.json", manifest)
+def _load(args) -> StateCoefficients:
+    """The ``--state``/``--n`` state, checked against the grid cap."""
+    state = load_state(args.state, args.n)
+    _check_grid(state.n, args.grid)
+    return state
 
 
 def _quote(field: str) -> str:
@@ -161,37 +123,71 @@ def _float_lines(*columns):
     return (row_format % tuple(row.tolist()) for row in table)
 
 
-def _common_parameters(args, **extra) -> dict:
-    params = {"grid_size": args.grid, "kl1": args.kl1, "kl2": args.kl2}
-    params.update(extra)
-    return params
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(args, command: str, kind: str, primary: str, parameters: dict,
+          summary: dict = None, diagnostics: dict = None, files: dict = None) -> None:
+    """Write a run's outputs; the only code that decides where they go.
+
+    The ``primary`` text goes to ``--out`` or stdout.  With ``--out`` the
+    ``summary`` goes to ``OUT.summary.json``, each ``files`` entry
+    ``name: (suffix, make_text)`` to ``OUT<suffix>`` and the manifest to
+    ``OUT.manifest.json``; without it ``files`` are neither formatted nor
+    written, and the summary and manifest go to stderr as one document,
+    {"summary", "manifest"}.  The manifest's ``outputs`` name what was
+    written, under ``kind`` for the primary text.
+    """
+    out = str(Path(args.out)) if args.out else None
+    outputs = {kind: out or "stdout"}
+    manifest = {
+        "command": command,
+        "parameters": {"grid_size": args.grid, "kl1": args.kl1, "kl2": args.kl2,
+                       **parameters},
+        "outputs": outputs,
+        "tool_version": __version__,
+        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    }
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
+    if out is None:
+        sys.stdout.write(primary)
+        if summary is not None:
+            outputs["summary"] = "stderr"
+            manifest = {"summary": summary, "manifest": manifest}
+        sys.stderr.write(_json(manifest))
+        return
+    Path(out).write_text(primary)
+    files = dict(files or {})
+    if summary is not None:
+        files["summary"] = (".summary.json", lambda: _json(summary))
+    for name, (suffix, make_text) in files.items():
+        outputs[name] = out + suffix
+        Path(outputs[name]).write_text(make_text())
+    Path(out + ".manifest.json").write_text(_json(manifest))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_probs(args) -> int:
-    state = load_state(args.state, args.n)
-    _check_grid(state.n, args.grid)
+def cmd_probs(args) -> None:
+    state = _load(args)
     table = likelihood_table(state, _geometry(args), args.grid)
     header = ["phi"] + [f"P({o.n_c},{o.n_d})" for o in table.outcomes]
-    sink = _OutputSink(args.out)
-    sink.write_primary(_csv(header, _float_lines(table.grid.points, table.probs.T)))
-    _write_manifest(sink, "probs",
-                    _common_parameters(args, state=args.state, n=state.n),
-                    {"csv": sink.primary_path()})
-    return 0
+    _emit(args, "probs", "csv",
+          _csv(header, _float_lines(table.grid.points, table.probs.T)),
+          {"state": args.state, "n": state.n})
 
 
-def cmd_posterior(args) -> int:
-    state = load_state(args.state, args.n)
+def cmd_posterior(args) -> None:
+    state = _load(args)
     try:
         n_c, n_d = (int(part) for part in args.outcome.split(","))
     except ValueError:
         raise ValueError(f"--outcome must be 'n_c,n_d', got {args.outcome!r}")
     outcome = Outcome(n_c, n_d)
-    _check_grid(state.n, args.grid)
     table = likelihood_table(state, _geometry(args), args.grid)
     posterior = posterior_for_outcome(table, outcome)
     peak_count = count_peaks(posterior)
@@ -199,10 +195,6 @@ def cmd_posterior(args) -> int:
         mean, std = circular_summary(posterior)
     except UndefinedCircularMeanError:
         mean = std = None
-
-    sink = _OutputSink(args.out)
-    sink.write_primary(_csv(["phi", "density"],
-                            _float_lines(posterior.grid.points, posterior.density)))
     summary = {
         "outcome": {"n_c": outcome.n_c, "n_d": outcome.n_d},
         "grid_size": args.grid,
@@ -212,46 +204,34 @@ def cmd_posterior(args) -> int:
         "circular_mean": None if mean is None else _round12(mean),
         "circular_std": None if std is None else _round12(std),
     }
-    _write_manifest(sink, "posterior",
-                    _common_parameters(args, state=args.state, n=state.n,
-                                       outcome=args.outcome),
-                    {"csv": sink.primary_path(),
-                     "summary": sink.aux_path(".summary.json")},
-                    summary=summary)
-    return 0
+    _emit(args, "posterior", "csv",
+          _csv(["phi", "density"], _float_lines(posterior.grid.points, posterior.density)),
+          {"state": args.state, "n": state.n, "outcome": args.outcome},
+          summary=summary)
 
 
-def cmd_fidelity(args) -> int:
+def cmd_fidelity(args) -> None:
     geometry = _geometry(args)
-    rows = []
     if args.sweep:
         families = [token.strip() for token in args.sweep.split(",") if token.strip()]
         if args.n_max is None:
             raise ValueError("--n-max is required with --sweep")
         _check_grid(_require_n(args.n_max), args.grid)
-        for family in families:
-            for report in fidelity_sweep(family, args.n_max, args.grid, geometry):
-                rows.append((family, report))
+        rows = [(family, report) for family in families
+                for report in fidelity_sweep(family, args.n_max, args.grid, geometry)]
+    elif args.state is None:
+        raise ValueError("either --state or --sweep is required")
     else:
-        if args.state is None:
-            raise ValueError("either --state or --sweep is required")
-        state = load_state(args.state, args.n)
-        _check_grid(state.n, args.grid)
-        report = mutual_information(likelihood_table(state, geometry, args.grid))
-        rows.append((state.label, report))
-
+        state = _load(args)
+        rows = [(state.label,
+                 mutual_information(likelihood_table(state, geometry, args.grid)))]
     csv_rows = (f"{label},{report.n_photons},{_fmt(report.h_bits)}"
                 for label, report in rows)
-    sink = _OutputSink(args.out)
-    sink.write_primary(_csv(["state", "N", "H_bits"], csv_rows))
-    _write_manifest(sink, "fidelity",
-                    _common_parameters(args, state=args.state, sweep=args.sweep,
-                                       n=args.n, n_max=args.n_max),
-                    {"csv": sink.primary_path()})
-    return 0
+    _emit(args, "fidelity", "csv", _csv(["state", "N", "H_bits"], csv_rows),
+          {"state": args.state, "sweep": args.sweep, "n": args.n, "n_max": args.n_max})
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> None:
     _check_grid(_require_n(args.n), max(args.grid, args.search_grid))
     config = OptimizerConfig(restarts=args.restarts,
                              max_iterations=args.max_iter,
@@ -280,33 +260,24 @@ def cmd_optimize(args) -> int:
             "report_grid_size": config.report_grid_size,
         },
     }
-    sink = _OutputSink(args.out)
-    sink.write_primary(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_manifest(sink, "optimize",
-                    _common_parameters(args, n=args.n, seed=args.seed,
-                                       restarts=config.restarts,
-                                       max_iter=config.max_iterations,
-                                       tol_bits=config.tol_bits,
-                                       search_grid=config.search_grid_size),
-                    {"json": sink.primary_path()},
-                    # convergence records stay out of the primary JSON
-                    {"restarts": result.restarts})
-    return 0
+    _emit(args, "optimize", "json", _json(payload),
+          {"n": args.n, "seed": args.seed, "restarts": config.restarts,
+           "max_iter": config.max_iterations, "tol_bits": config.tol_bits,
+           "search_grid": config.search_grid_size},
+          # convergence records stay out of the primary JSON
+          diagnostics={"restarts": result.restarts})
 
 
-def cmd_simulate(args) -> int:
-    state = load_state(args.state, args.n)
+def cmd_simulate(args) -> None:
+    state = _load(args)
     if args.shots < 1:
         raise ValueError("--shots must be at least 1")
-    _check_grid(state.n, args.grid)
+    if args.shots > MAX_SHOTS:
+        raise ResourceLimitError(f"--shots {args.shots} exceeds the cap of {MAX_SHOTS}")
     result = simulate_sequence(state, _geometry(args), true_phase=args.phase,
                                shots=args.shots, seed=args.seed,
                                grid_size=args.grid)
     outcomes = result.record.outcomes
-    rows = (f"{i},{o.n_c},{o.n_d}" for i, o in enumerate(outcomes))
-    sink = _OutputSink(args.out)
-    sink.write_primary(_csv(["shot", "n_c", "n_d"], rows))
-
     final = result.final_posterior
     peak_count = count_peaks(final)
     frequencies = Counter(f"{o.n_c},{o.n_d}" for o in outcomes)
@@ -321,19 +292,13 @@ def cmd_simulate(args) -> int:
         "final_peaks": [{"phi": _round12(loc), "height": _round12(height)}
                         for loc, height in final.peaks],
     }
-    outputs = {"csv": sink.primary_path(),
-               "summary": sink.aux_path(".summary.json")}
-    if sink.out is not None:
-        posterior_path = Path(str(sink.out) + ".posterior.csv")
-        posterior_path.write_text(_csv(["phi", "density"],
-                                       _float_lines(final.grid.points, final.density)))
-        outputs["posterior_csv"] = str(posterior_path)
-    _write_manifest(sink, "simulate",
-                    _common_parameters(args, state=args.state, n=state.n,
-                                       phase=args.phase, shots=args.shots,
-                                       seed=args.seed),
-                    outputs, summary=summary)
-    return 0
+    rows = (f"{i},{o.n_c},{o.n_d}" for i, o in enumerate(outcomes))
+    posterior_csv = (".posterior.csv", lambda: _csv(
+        ["phi", "density"], _float_lines(final.grid.points, final.density)))
+    _emit(args, "simulate", "csv", _csv(["shot", "n_c", "n_d"], rows),
+          {"state": args.state, "n": state.n, "phase": args.phase,
+           "shots": args.shots, "seed": args.seed},
+          summary=summary, files={"posterior_csv": posterior_csv})
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +387,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except ZeroProbabilityOutcomeError as exc:
         print(f"error: zero-probability outcome: {exc}", file=sys.stderr)
         return 3
@@ -432,6 +397,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def run() -> None:

@@ -15,7 +15,7 @@ scalings.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,8 @@ TWO_PI = 2.0 * math.pi
 LOG2_E = 1.0 / math.log(2.0)
 COLUMN_SUM_TOL = 1e-8
 SLOPE_TOL = 1e-12
-DEFAULT_COUNT_VECTOR_CAP = 1_000_000
+# count vectors of a compound table, over all outcomes
+MAX_COUNT_VECTORS = 1_000_000
 # cells (count vectors x grid points) in one block of the streamed compound
 # table: 1 MiB of float64, so a block and its temporaries stay in cache
 _COMPOUND_BLOCK_CELLS = 1 << 17
@@ -151,9 +152,7 @@ def _count_vectors(total: int, bins: int) -> np.ndarray:
     return np.diff(bars, axis=1, prepend=-1, append=total + bins - 1) - 1
 
 
-def repeated_mutual_information(table: LikelihoodTable, repeats: int,
-                                max_count_vectors: int = DEFAULT_COUNT_VECTOR_CAP
-                                ) -> FidelityReport:
+def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> FidelityReport:
     """Mutual information of ``repeats`` independent uses of the device.
 
     The compound outcome is the unordered vector of per-outcome counts
@@ -162,31 +161,39 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int,
 
         P({M_m}|phi) = repeats!/(prod_m M_m!) prod_m P(m|phi)^{M_m}.
 
-    Enumeration is exact, and the compound table is streamed in blocks of
-    about 1 MiB: each takes L = log P from the counts
+    Enumeration is exact.  A vector that counts an outcome with P = 0 at
+    every phase has probability 0 everywhere and adds exactly 0 to H and
+    to the column sums, so only vectors over the possible outcomes are
+    enumerated.  The compound table is streamed in blocks of about 1 MiB:
+    each takes L = log P from the counts
     (:meth:`LikelihoodTable.log_likelihood_blocks`) and the multinomial
     coefficient, then P = exp(L), one term of H per vector (its log ratio
     built from L) and the column sums for the completeness check.  Memory
-    is one block plus the count vectors; more vectors than
-    ``max_count_vectors`` raise :class:`ResourceLimitError` up front.
+    is one block plus the count vectors; more than ``MAX_COUNT_VECTORS``
+    vectors over all outcomes raise :class:`ResourceLimitError` up front.
     """
     if int(repeats) != repeats or repeats < 1:
         raise ValueError(f"repeats must be a positive integer, got {repeats!r}")
     repeats = int(repeats)
     n_outcomes = table.outcome_count
     n_vectors = math.comb(repeats + n_outcomes - 1, n_outcomes - 1)
-    if n_vectors > max_count_vectors:
+    if n_vectors > MAX_COUNT_VECTORS:
         raise ResourceLimitError(
             f"{n_vectors} compound count vectors exceed the cap of "
-            f"{max_count_vectors}")
+            f"{MAX_COUNT_VECTORS}")
 
-    counts = _count_vectors(repeats, n_outcomes)
+    _check_columns(table.probs.sum(axis=0))  # also rejects all-zero tables
+    possible = table.probs.any(axis=1)
+    table = replace(
+        table, probs=table.probs[possible],
+        outcomes=[o for o, keep in zip(table.outcomes, possible) if keep])
+    counts = _count_vectors(repeats, table.outcome_count)
     log_factorials = np.array([math.lgamma(k + 1) for k in range(repeats + 1)])
     log_coefficients = math.lgamma(repeats + 1) - log_factorials[counts].sum(axis=1)
     block = max(1, _COMPOUND_BLOCK_CELLS // table.grid.size)
-    starts = range(0, n_vectors, block)
+    starts = range(0, len(counts), block)
     column_sums = np.zeros(table.grid.size)
-    terms = np.empty(n_vectors)
+    terms = np.empty(len(counts))
     log_blocks = table.log_likelihood_blocks(counts[start:start + block]
                                              for start in starts)
     for start, log_probs in zip(starts, log_blocks):

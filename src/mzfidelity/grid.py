@@ -28,9 +28,9 @@ class PhaseGrid:
         self.points = np.linspace(-np.pi, np.pi, size + 1)[1:]
         self.weight = 2.0 * np.pi / size
 
-    def integrate(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
+    def integrate(self, values: np.ndarray):
         """Periodic trapezoid-rule integral of sampled values over (-pi, pi]."""
-        return self.weight * np.sum(values, axis=axis)
+        return self.weight * np.sum(values)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PhaseGrid) and other.size == self.size

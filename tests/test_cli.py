@@ -280,6 +280,18 @@ def test_simulate_rejects_non_finite_phase(capsys):
     assert code == 2
 
 
+def test_shot_cap_rejects_before_drawing(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "MAX_SHOTS", 10)
+    argv = ["simulate", "--state", "fock", "--n", "1", "--phase", "0.5",
+            "--grid", "16", "--out", str(tmp_path / "sim.csv")]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "simulate_sequence", None)  # never reached
+        code, stdout, err = run_cli(argv + ["--shots", "11"], capsys)
+    assert code == 4 and "cap" in err
+    assert stdout == "" and not list(tmp_path.iterdir())
+    assert run_cli(argv + ["--shots", "10"], capsys)[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # coefficient files
 # ---------------------------------------------------------------------------
@@ -382,3 +394,35 @@ def test_csv_is_locale_independent(capsys):
     assert ";" not in out
     assert "\r" not in out
     assert out.count("\n") == 5  # header + 4 rows, trailing newline
+
+
+@pytest.mark.parametrize("argv", [
+    ["probs", "--state", "fock", "--n", "2", "--grid", "8"],
+    ["posterior", "--state", "fock", "--n", "2", "--outcome", "1,1", "--grid", "8"],
+    ["fidelity", "--state", "fock", "--n", "2", "--grid", "8"],
+    ["fidelity", "--sweep", "fock", "--n-max", "2", "--grid", "8"],
+    OPT_ARGS,
+    ["simulate", "--state", "fock", "--n", "2", "--phase", "0.3", "--shots", "5",
+     "--grid", "8"],
+])
+def test_manifest_outputs_name_every_file_written(argv, tmp_path, capsys):
+    out_path = tmp_path / "run.out"
+    assert run_cli(argv + ["--out", str(out_path)], capsys) == (0, "", "")
+    manifest_path = tmp_path / "run.out.manifest.json"
+    outputs = json.loads(manifest_path.read_text())["outputs"]
+    written = {str(path) for path in tmp_path.iterdir()} - {str(manifest_path)}
+    assert sorted(outputs.values()) == sorted(written)
+    assert outputs["json" if argv[0] == "optimize" else "csv"] == str(out_path)
+
+
+def test_simulate_posterior_file_only_with_out(monkeypatch, tmp_path, capsys):
+    # without --out the posterior CSV is neither formatted nor written
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_float_lines", None)
+    code, out, err = run_cli(["simulate", "--state", "fock", "--n", "2",
+                              "--phase", "0.3", "--shots", "5", "--grid", "8"],
+                             capsys)
+    assert code == 0 and out.startswith("shot,")
+    assert json.loads(err)["manifest"]["outputs"] == {"csv": "stdout",
+                                                      "summary": "stderr"}
+    assert not list(tmp_path.iterdir())

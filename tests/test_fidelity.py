@@ -304,10 +304,27 @@ def test_repeats_match_long_double_reference(family, n, repeats):
     assert h == pytest.approx(_long_double_compound_h(table.probs, repeats), abs=1e-13)
 
 
-def test_repeats_resource_cap():
+@pytest.mark.parametrize("n,repeats", [(2, 2), (2, 50), (6, 3)])
+def test_repeats_skip_impossible_outcomes(n, repeats):
+    # noon N = 2, 6 have one identically zero row: vectors counting it add
+    # exactly nothing, so deleting the row by hand changes no bit of H
+    table = likelihood_table(noon_state(n), grid_size=256)
+    zero_rows = np.flatnonzero(~table.probs.any(axis=1))
+    assert zero_rows.size == 1
+    report = repeated_mutual_information(table, repeats)
+    pruned = _table_from_rows(np.delete(table.probs, zero_rows, axis=0), n_total=n)
+    assert report.h_bits == repeated_mutual_information(pruned, repeats).h_bits
+    # the count still covers every outcome, as the cap does
+    assert report.outcome_count == math.comb(repeats + n, n)
+    with pytest.raises(ValueError, match="sum to 1"):
+        repeated_mutual_information(_table_from_rows(np.zeros((2, 8))), repeats)
+
+
+def test_repeats_resource_cap(monkeypatch):
     table = likelihood_table(fock_state(4), grid_size=32)
-    with pytest.raises(ResourceLimitError):
-        repeated_mutual_information(table, 100, max_count_vectors=1000)
+    with monkeypatch.context() as patch, pytest.raises(ResourceLimitError):
+        patch.setattr("mzfidelity.fidelity.MAX_COUNT_VECTORS", 1000)
+        repeated_mutual_information(table, 100)
     with pytest.raises(ValueError):
         repeated_mutual_information(table, 0)
     # 46376 count vectors x 512 points is a 190 MB compound table; streamed
