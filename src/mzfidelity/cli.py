@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage or parameter error, 3 domain error
 """
 
 import argparse
+import dataclasses
 import datetime
 from collections import Counter
 import json
@@ -32,7 +33,7 @@ from .optics import (STATE_FAMILIES, InterferometerGeometry, Outcome,
                      StateCoefficients, likelihood_table)
 from .optimizer import OptimizerConfig, optimize_input_state
 
-MAX_PHOTONS = 40
+MAX_PHOTONS = 200
 # (N+1) x grid cells of one request; a run holds a few arrays of 16 B a cell
 MAX_GRID_CELLS = 1 << 22
 # shots of one simulate run, which holds about 100 B a shot
@@ -251,14 +252,7 @@ def cmd_optimize(args) -> None:
         },
         "history": [_round12(h) for h in result.history],
         "evaluations": result.evaluations,
-        "config": {
-            "restarts": config.restarts,
-            "max_iterations": config.max_iterations,
-            "tol_bits": config.tol_bits,
-            "seed": config.seed,
-            "search_grid_size": config.search_grid_size,
-            "report_grid_size": config.report_grid_size,
-        },
+        "config": dataclasses.asdict(config),
     }
     _emit(args, "optimize", "json", _json(payload),
           {"n": args.n, "seed": args.seed, "restarts": config.restarts,
@@ -356,17 +350,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="search input coefficients maximizing the fidelity")
     _add_common(opt, with_state=False)
     opt.add_argument("--n", type=int, required=True, help="total photon number")
-    opt.add_argument("--seed", type=int, default=0)
-    opt.add_argument("--restarts", type=int, default=16)
-    opt.add_argument("--max-iter", type=int, default=2000,
+    opt.add_argument("--seed", type=int, default=OptimizerConfig.seed)
+    opt.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
+    opt.add_argument("--max-iter", type=int, default=OptimizerConfig.max_iterations,
                      help="L-BFGS-B iteration limit of each restart "
                           "(default %(default)s)")
-    opt.add_argument("--tol-bits", type=float, default=1e-7,
+    opt.add_argument("--tol-bits", type=float, default=OptimizerConfig.tol_bits,
                      help="a restart stops when an iteration improves H by "
                           "less than this relative to max(|H|, 1); a later "
                           "restart must beat the best by more than this "
                           "(default %(default)s)")
-    opt.add_argument("--search-grid", type=int, default=4096,
+    opt.add_argument("--search-grid", type=int, default=OptimizerConfig.search_grid_size,
                      help="coarse grid used during the search")
     opt.set_defaults(func=cmd_optimize)
 

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -284,12 +285,16 @@ _I_POWERS = (1.0, 1j, -1.0, -1j)
 
 
 def _sqrt_ratio(num: int, den: int) -> float:
-    """sqrt(num / den) of non-negative integers, rounded once to a float."""
-    # scale so the integer square root carries ~64 bits, well past the 53
-    # a double keeps; only the final int -> float conversion rounds
+    """sqrt(num / den) of non-negative integers, correctly rounded to a float."""
+    # scale so the integer root carries >= 64 bits, past the 53 a double
+    # keeps; a sticky bit for what the floor divisions dropped makes the one
+    # int -> float conversion round as the exact root would
     shift = max(0, 128 - num.bit_length() + den.bit_length())
     shift += shift % 2
-    return math.ldexp(math.isqrt((num << shift) // den), -(shift // 2))
+    quotient, remainder = divmod(num << shift, den)
+    root = math.isqrt(quotient)
+    sticky = root * root != quotient or remainder != 0
+    return math.ldexp(2 * root + sticky, -(shift // 2) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -297,28 +302,29 @@ def _transfer_matrices(n_total: int):
     """Photon-number matrices W_L, W_R of the two fixed beam splitters.
 
     Entry [n_out, n_in] is the amplitude from |n_in, N-n_in> to
-    |n_out, N-n_out>.  For a balanced splitter the partition sum has
-    equal-magnitude factors, so it collapses to an exact integer
-    Krawtchouk sum K times a phase i^p and a square root of a rational;
-    every entry is rounded once from that exact data.  The arrays are
-    shared between callers and therefore read-only.
+    |n_out, N-n_out>: for balanced splitters, an exact integer Krawtchouk
+    number K times i^p and sqrt(C(N, n_in) / (C(N, n_out) 2^N)), rounded
+    once.  Column n_in of K holds the coefficients of (1-x)^n_in
+    (1+x)^(N-n_in), so (1-x) K_{n-1} = (1+x) K_n gives all of K in O(N^2)
+    integer additions (MacWilliams & Sloane, The Theory of Error-Correcting
+    Codes, ch. 5).  The arrays are shared between callers, hence read-only.
     """
     size = n_total + 1
-    factorials = [math.factorial(n) for n in range(size)]
+    binomials = [math.comb(n_total, n) for n in range(size)]
     w_l = np.zeros((size, size), dtype=np.complex128)
     w_r = np.zeros((size, size), dtype=np.complex128)
-    for n_in in range(size):
-        n_b = n_total - n_in
-        for n_out in range(size):
-            krawtchouk = sum((-1) ** j * math.comb(n_in, j) * math.comb(n_b, n_out - j)
-                             for j in range(max(0, n_out - n_b), min(n_in, n_out) + 1))
+    column = [(-1) ** j * binomial for j, binomial in enumerate(binomials)]
+    for n_in in range(n_total, -1, -1):
+        for n_out, krawtchouk in enumerate(column):
             if krawtchouk == 0:
                 continue
             magnitude = math.copysign(_sqrt_ratio(
-                krawtchouk ** 2 * factorials[n_out] * factorials[n_total - n_out],
-                factorials[n_in] * factorials[n_b] * 2 ** n_total), krawtchouk)
-            w_l[n_out, n_in] = _I_POWERS[(n_b - n_out - n_in) % 4] * magnitude
-            w_r[n_out, n_in] = _I_POWERS[(2 * n_in - n_b) % 4] * magnitude
+                krawtchouk ** 2 * binomials[n_in], binomials[n_out] << n_total),
+                krawtchouk)
+            w_l[n_out, n_in] = _I_POWERS[(n_total - n_out - 2 * n_in) % 4] * magnitude
+            w_r[n_out, n_in] = _I_POWERS[(3 * n_in - n_total) % 4] * magnitude
+        # dividing (1+x) K_n by (1-x) is a running sum of its coefficients
+        column = list(accumulate(a + b for a, b in zip(column, [0] + column)))
     w_l.flags.writeable = False
     w_r.flags.writeable = False
     return w_l, w_r
@@ -334,16 +340,17 @@ def _phase_factors(n_total: int, phi: np.ndarray,
 
 
 def _outcome_amplitudes(coeffs: np.ndarray, stage: np.ndarray) -> np.ndarray:
-    """Amplitudes A[n_c, k] = (W_L (stage * (W_R c)))[n_c, k], N+1 = len(stage).
+    """Amplitudes A = (W_L diag(W_R c)) stage, with N+1 = len(stage).
 
-    The stage E of :func:`_phase_factors` gives the amplitudes at its
-    phases, i n E their phase derivatives.  Outcomes that vanish
-    identically come out as exact zeros: each of their Fourier
-    coefficients W_L[n_c, n] (W_R c)[n] has an exactly zero factor (an
-    integer Krawtchouk zero, or equal-magnitude terms of opposite sign).
+    No grid-sized array but A exists.  The stage E of :func:`_phase_factors`
+    gives the amplitudes at its phases, i n E their phase derivatives.
+    Outcomes that vanish identically come out as exact zeros: each of
+    their Fourier coefficients W_L[n_c, n] (W_R c)[n] has an exactly zero
+    factor (an integer Krawtchouk zero, or equal-magnitude terms of
+    opposite sign).
     """
     w_l, w_r = _transfer_matrices(stage.shape[0] - 1)
-    return w_l @ (stage * (w_r @ coeffs)[:, None])
+    return (w_l * (w_r @ coeffs)) @ stage
 
 
 def _outcome_amplitudes_transpose(values: np.ndarray, stage: np.ndarray) -> np.ndarray:

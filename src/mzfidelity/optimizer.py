@@ -37,7 +37,6 @@ from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, StateCoefficients
 
 ZERO_NORM_TOL = 1e-15
 FIRST_NONZERO_TOL = 1e-12
-SEARCH_GRID_SIZE = 4096
 
 
 @dataclass
@@ -48,7 +47,7 @@ class OptimizerConfig:
     max_iterations: int = 2000
     tol_bits: float = 1e-7
     seed: int = 0
-    search_grid_size: int = SEARCH_GRID_SIZE
+    search_grid_size: int = 4096
     report_grid_size: int = DEFAULT_GRID_SIZE
 
     def __post_init__(self):

@@ -62,7 +62,8 @@ def test_probs_vacuum(capsys):
 
 
 def test_probs_rejects_bad_photon_number(capsys):
-    code, _, err = run_cli(["probs", "--state", "fock", "--n", "41"], capsys)
+    code, _, err = run_cli(["probs", "--state", "fock", "--n", str(cli.MAX_PHOTONS + 1)],
+                           capsys)
     assert code == 2
     assert "error" in err
 
@@ -325,11 +326,11 @@ def test_coefficient_file_errors(tmp_path, capsys):
     mismatched.write_text("1 0\n")
     assert run_cli(["probs", "--state", str(mismatched), "--n", "3"], capsys)[0] == 2
 
-    # 42 lines is N = 41, one past the cap that --n enforces
+    # MAX_PHOTONS + 2 lines is N = MAX_PHOTONS + 1, one past the cap that --n enforces
     too_long = tmp_path / "long.txt"
-    too_long.write_text("1 0\n" * 42)
+    too_long.write_text("1 0\n" * (cli.MAX_PHOTONS + 2))
     code, _, err = run_cli(["probs", "--state", str(too_long), "--grid", "8"], capsys)
-    assert code == 2 and "40" in err
+    assert code == 2 and f"N <= {cli.MAX_PHOTONS}" in err
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,24 @@ def test_sweep_orders_and_bounds():
         assert r.h_bits <= math.log2(r.n_photons + 1)
 
 
+def test_fock_beats_noon_past_the_acceptance_range(holevo_bits):
+    # criteria 5a-5c check N <= 25; here N = 26..60, with noon at 25 and 61
+    # as the outer odd neighbours
+    fock = {n: r.h_bits for n, r in
+            zip(range(26, 61), fidelity_sweep([fock_state(n) for n in range(26, 61)],
+                                              grid_size=2048))}
+    noon = {n: r.h_bits for n, r in
+            zip(range(25, 62), fidelity_sweep([noon_state(n) for n in range(25, 62)],
+                                              grid_size=2048))}
+    assert all(fock[n] > noon[n] for n in fock)
+    assert all(fock[n + 1] > fock[n] for n in range(26, 60))
+    assert all(noon[n + 2] > noon[n] for n in range(25, 60))
+    assert all(noon[n] < min(noon[n - 1], noon[n + 1]) for n in range(26, 61, 2))
+    for n in fock:
+        _assert_holevo_bounds(fock[n], holevo_bits(fock_state(n).coeffs), n)
+        _assert_holevo_bounds(noon[n], holevo_bits(noon_state(n).coeffs), n)
+
+
 def test_sweep_accepts_state_list():
     states = [fock_state(2), noon_state(3)]
     reports = fidelity_sweep(states, grid_size=512)

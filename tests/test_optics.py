@@ -1,5 +1,6 @@
 """Scattering matrix, closed-form likelihoods, and the amplitude engine."""
 
+import decimal
 import math
 import os
 import subprocess
@@ -15,8 +16,10 @@ from mzfidelity import (DEFAULT_GEOMETRY, InterferometerGeometry, Outcome,
                         fock_outcome_prob, fock_state, likelihood_table,
                         noon_outcome_prob, noon_state, state_outcome_prob,
                         transition_amplitude)
-from mzfidelity.optics import (_outcome_amplitudes, _outcome_amplitudes_transpose,
-                               _phase_factors, partition_weight)
+from mzfidelity.cli import MAX_PHOTONS
+from mzfidelity.optics import (_I_POWERS, _outcome_amplitudes,
+                               _outcome_amplitudes_transpose, _phase_factors,
+                               _transfer_matrices, partition_weight)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -277,7 +280,8 @@ def test_derivative_stage_matches_central_difference(n):
 
 @pytest.mark.parametrize("geometry", [DEFAULT_GEOMETRY,
                                       InterferometerGeometry(0.3, -1.1)])
-@pytest.mark.parametrize("n,n_c", [(2, 1), (6, 3), (10, 5), (22, 11), (38, 19)])
+@pytest.mark.parametrize("n,n_c", [(2, 1), (6, 3), (10, 5), (22, 11), (38, 19),
+                                   (198, 99)])
 def test_cancelling_outcomes_are_exact_zeros(n, n_c, geometry):
     # the two-sided superposition at these outcomes vanishes identically;
     # the engine must produce true zeros, not last-ulp residue
@@ -285,10 +289,52 @@ def test_cancelling_outcomes_are_exact_zeros(n, n_c, geometry):
     assert np.abs(amps[n_c]).max() == 0.0
 
 
+def _direct_entries(n, n_out, n_in):
+    # W_L and W_R at [n_out, n_in] from the direct Krawtchouk sum, with the
+    # magnitude sqrt(K^2 n_out! (N-n_out)! / (n_in! n_b! 2^N)) taken to 80
+    # digits and then rounded to a float
+    n_b = n - n_in
+    krawtchouk = sum((-1) ** j * math.comb(n_in, j) * math.comb(n_b, n_out - j)
+                     for j in range(max(0, n_out - n_b), min(n_in, n_out) + 1))
+    if krawtchouk == 0:
+        return 0j, 0j
+    with decimal.localcontext(prec=80):
+        ratio = (decimal.Decimal(krawtchouk ** 2 * math.factorial(n_out)
+                                 * math.factorial(n - n_out))
+                 / (math.factorial(n_in) * math.factorial(n_b) * 2 ** n))
+        magnitude = math.copysign(float(ratio.sqrt()), krawtchouk)
+    return (_I_POWERS[(n_b - n_out - n_in) % 4] * magnitude,
+            _I_POWERS[(2 * n_in - n_b) % 4] * magnitude)
+
+
+def test_transfer_matrices_match_direct_krawtchouk_sums():
+    # bit for bit: the recurrence's integers and a correctly rounded root
+    for n in range(61):
+        reference = np.array([[_direct_entries(n, n_out, n_in) for n_out in range(n + 1)]
+                              for n_in in range(n + 1)], dtype=np.complex128).T
+        for w, expected in zip(_transfer_matrices(n), reference):
+            assert w.tobytes() == expected.tobytes()
+    for n in [*range(61), 100, 150, MAX_PHOTONS]:
+        for w in _transfer_matrices(n):
+            assert np.abs(w @ w.conj().T - np.eye(n + 1)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n,rows", [(150, [2, 12]), (MAX_PHOTONS, [48, 152])])
+def test_transfer_matrices_are_correctly_rounded(n, rows):
+    # rows holding an entry that truncating the root, instead of rounding
+    # it, leaves one ulp low, e.g. |W_L[48, 70]| = 0.05605728228246341 at
+    # N = 200, not 0.0560572822824634
+    w_l, w_r = _transfer_matrices(n)
+    for n_out in rows:
+        for n_in in range(n + 1):
+            expected = _direct_entries(n, n_out, n_in)
+            assert (w_l[n_out, n_in], w_r[n_out, n_in]) == expected
+
+
 def test_completeness_and_closed_forms_up_to_photon_cap():
-    # criteria 01 and 02 stop at N = 25; the CLI accepts N up to 40
+    # criteria 01 and 02 stop at N = 25; the CLI accepts N up to MAX_PHOTONS
     rng = np.random.default_rng(4040)
-    for n in range(26, 41):
+    for n in [*range(26, 41), 60, 100, 150, MAX_PHOTONS]:
         for _ in range(5):
             table = likelihood_table(_random_state(rng, n), grid_size=64)
             np.testing.assert_allclose(table.probs.sum(axis=0), 1.0,

@@ -15,6 +15,7 @@ from mzfidelity import (DEFAULT_GEOMETRY, InterferometerGeometry, OptimizerConfi
                         PhaseGrid, StateCoefficients, fock_state, likelihood_table,
                         mutual_information, noon_state, optimize_input_state,
                         project_normalize)
+from mzfidelity.cli import MAX_PHOTONS
 from mzfidelity.optimizer import _negative_information
 
 H_SINGLE_PHOTON = 1.0 / np.log(2.0) - 1.0
@@ -179,9 +180,9 @@ def test_deterministic_for_fixed_seed():
 
 def test_optimizer_works_at_photon_cap(holevo_bits):
     config = OptimizerConfig(restarts=2, search_grid_size=1024)
-    result = optimize_input_state(40, config)
-    floor = max(_h_of(fock_state(40), grid_size=config.report_grid_size),
-                _h_of(noon_state(40), grid_size=config.report_grid_size))
+    result = optimize_input_state(MAX_PHOTONS, config)
+    floor = max(_h_of(fock_state(MAX_PHOTONS), grid_size=config.report_grid_size),
+                _h_of(noon_state(MAX_PHOTONS), grid_size=config.report_grid_size))
     assert result.best_h_bits >= floor - 1e-6
     _assert_under_holevo_bound(result, holevo_bits(result.best_state.coeffs))
 
