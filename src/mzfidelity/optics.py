@@ -17,7 +17,8 @@ Campos, Saleh & Teich, PRA 40, 1371 (1989)):
 Photon-number representations multiply like the 2x2 matrices, so the
 outcome amplitudes of a coefficient vector c on a phase grid are
 W_L (E * (W_R c)), with W_L and W_R built once per photon number and E
-the diagonal stage's phase factors (i n E gives the exact dA/dphi).
+the diagonal stage's phase factors (i n E gives the exact dA/dphi).  On
+the uniform grid E is built from M roots of unity (:func:`_grid_stage`).
 """
 
 import math
@@ -339,11 +340,22 @@ def _phase_factors(n_total: int, phi: np.ndarray,
     return np.exp(1j * angles)
 
 
+def _grid_stage(n_total: int, grid: PhaseGrid,
+                geometry: InterferometerGeometry) -> np.ndarray:
+    """:func:`_phase_factors` on ``grid``, from M exps: with phi_k = -pi +
+    2 pi k / M, E[n, k] = E[n](-pi) w^(n k mod M) and w = e^(2 pi i / M)."""
+    roots = np.exp((2j * np.pi / grid.size) * np.arange(grid.size))
+    powers = np.outer(np.arange(n_total + 1), np.arange(1, grid.size + 1))
+    stage = roots[np.remainder(powers, grid.size, out=powers)]
+    stage *= _phase_factors(n_total, np.array([-np.pi]), geometry)
+    return stage
+
+
 def _outcome_amplitudes(coeffs: np.ndarray, stage: np.ndarray) -> np.ndarray:
     """Amplitudes A = (W_L diag(W_R c)) stage, with N+1 = len(stage).
 
-    No grid-sized array but A exists.  The stage E of :func:`_phase_factors`
-    gives the amplitudes at its phases, i n E their phase derivatives.
+    No grid-sized array but A exists.  A stage E (:func:`_grid_stage`,
+    :func:`_phase_factors`) gives A at its phases, i n E dA/dphi there.
     Outcomes that vanish identically come out as exact zeros: each of
     their Fourier coefficients W_L[n_c, n] (W_R c)[n] has an exactly zero
     factor (an integer Krawtchouk zero, or equal-magnitude terms of
@@ -443,9 +455,9 @@ def likelihood_table(state: StateCoefficients,
     unitary).
     """
     grid = PhaseGrid(grid_size)
-    amps = _outcome_amplitudes(state.coeffs,
-                               _phase_factors(state.n, grid.points, geometry))
-    probs = _clamp_probs(np.abs(amps) ** 2)
+    amps = _outcome_amplitudes(state.coeffs, _grid_stage(state.n, grid, geometry))
+    probs = np.abs(amps)
+    probs = _clamp_probs(np.square(probs, out=probs))
     outcomes = [Outcome(n_c, state.n - n_c) for n_c in range(state.n + 1)]
     return LikelihoodTable(grid=grid, probs=probs, outcomes=outcomes,
                            state_label=state.label, n_total=state.n)

@@ -8,8 +8,9 @@ neither along c (scale) nor along i*c (global phase), and the global
 phase of the winner is fixed by convention after the search.
 
 The amplitudes A = M u = W_L (E * (W_R u)) are linear in u, and the phase
-stage E is built once per search, so the analytic gradient costs one pass
-of the engine's transpose M^T, in O(N x grid) memory.  With P = |A|^2,
+stage E is built once per search, from the grid's M roots of unity, so the
+analytic gradient costs one pass of the engine's transpose M^T, in
+O(N x grid) memory.  With P = |A|^2,
 I_m = w sum_k P_mk and G = dH/dP = (w/2pi) log2(2pi P / I_m):
 
     g   = 2 conj(M^T(conj(A) G))     gradient with respect to u,
@@ -31,9 +32,9 @@ import numpy as np
 from .fidelity import TWO_PI, _information_terms, mutual_information
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, StateCoefficients,
-                     _check_photon_number, _clamp_probs, _outcome_amplitudes,
-                     _outcome_amplitudes_transpose, _phase_factors, fock_state,
-                     likelihood_table, noon_state)
+                     _check_photon_number, _clamp_probs, _grid_stage,
+                     _outcome_amplitudes, _outcome_amplitudes_transpose,
+                     fock_state, likelihood_table, noon_state)
 
 ZERO_NORM_TOL = 1e-15
 FIRST_NONZERO_TOL = 1e-12
@@ -110,7 +111,7 @@ def _negative_information(n_photons: int, grid: PhaseGrid,
                           geometry: InterferometerGeometry):
     """The search objective: x = [Re c, Im c] -> (-H, -dH/dx) on ``grid``."""
     dim = n_photons + 1
-    stage = _phase_factors(n_photons, grid.points, geometry)
+    stage = _grid_stage(n_photons, grid, geometry)
     # the objective runs hundreds of times per search: reused buffers keep
     # each call from allocating fresh grid-sized arrays, whose cost depends
     # on the allocator's state

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from mzfidelity import (DEFAULT_GEOMETRY, InterferometerGeometry, Outcome,
                         noon_outcome_prob, noon_state, state_outcome_prob,
                         transition_amplitude)
 from mzfidelity.cli import MAX_PHOTONS
-from mzfidelity.optics import (_I_POWERS, _outcome_amplitudes,
+from mzfidelity.optics import (_I_POWERS, _grid_stage, _outcome_amplitudes,
                                _outcome_amplitudes_transpose, _phase_factors,
                                _transfer_matrices, partition_weight)
 
@@ -287,6 +288,24 @@ def test_cancelling_outcomes_are_exact_zeros(n, n_c, geometry):
     # the engine must produce true zeros, not last-ulp residue
     amps = _amplitudes(noon_state(n).coeffs, PhaseGrid(256).points, geometry)
     assert np.abs(amps[n_c]).max() == 0.0
+    # and so must the tables' root-of-unity stage, also on a grid of fewer
+    # than N+1 points, where the powers n k wrap around mod M
+    for grid_size in (256, 7):
+        table = likelihood_table(noon_state(n), geometry, grid_size)
+        assert table.probs[n_c].max() == 0.0
+
+
+@pytest.mark.parametrize("geometry", [DEFAULT_GEOMETRY,
+                                      InterferometerGeometry(0.3, -1.1)])
+@pytest.mark.parametrize("n", [0, 1, 40, 200])
+@pytest.mark.parametrize("grid_size", [2, 7, 257, 1024, 8192])
+def test_grid_stage_matches_phase_factors(n, grid_size, geometry):
+    # the stage from roots of unity against one exp per cell; the exps'
+    # own angles n (phi + kl1) carry a rounding error that grows with n
+    grid = PhaseGrid(grid_size)
+    np.testing.assert_allclose(_grid_stage(n, grid, geometry),
+                               _phase_factors(n, grid.points, geometry),
+                               atol=4e-15 * (n + 1), rtol=0)
 
 
 def _direct_entries(n, n_out, n_in):
@@ -376,6 +395,21 @@ def test_table_columns_sum_to_one():
     for state in (fock_state(25), noon_state(25), _random_state(rng, 18)):
         table = likelihood_table(state, grid_size=256)
         np.testing.assert_allclose(table.probs.sum(axis=0), 1.0, atol=1e-12)
+
+
+def test_table_memory_is_about_two_grid_arrays():
+    # the stage and the amplitudes are the only complex (N+1) x grid arrays
+    # alive at once: the -pi column is multiplied into the stage in place
+    n, grid_size = 40, 8192
+    state = _random_state(np.random.default_rng(41), n)
+    likelihood_table(state, grid_size=2)  # builds the transfer matrices
+    tracemalloc.start()
+    try:
+        likelihood_table(state, grid_size=grid_size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * (n + 1) * grid_size * 16
 
 
 def test_table_grid_size_validation():
