@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import UndefinedCircularMeanError, ZeroProbabilityOutcomeError
+from .exceptions import (ResourceLimitError, UndefinedCircularMeanError,
+                         ZeroProbabilityOutcomeError)
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, LikelihoodTable,
                      Outcome, StateCoefficients, likelihood_table,
@@ -21,6 +22,9 @@ from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, LikelihoodTable,
 # quadrature ripple; genuine secondary modes in scope sit above 1e-4
 PEAK_REL_THRESHOLD = 1e-9
 RESULTANT_TOL = 1e-12
+# bytes a keep_history run may hold: per shot, its counts and their cumsum
+# (N+1 floats each) and its log likelihood and posterior (a grid row each)
+MAX_HISTORY_BYTES = 1 << 30
 
 
 @dataclass(eq=False)
@@ -173,7 +177,8 @@ def simulate_sequence(state: StateCoefficients,
     exp(sum_m M_m log P(m|phi)) over the outcome counts M_m of its shots
     (:meth:`LikelihoodTable.log_likelihood`), normalized.  By default only
     the final posterior is returned; ``keep_history=True`` keeps one per
-    shot prefix.
+    shot prefix, and raises :class:`ResourceLimitError` up front if that
+    history would hold more than ``MAX_HISTORY_BYTES``.
 
     Returns
     -------
@@ -184,6 +189,10 @@ def simulate_sequence(state: StateCoefficients,
     if int(shots) != shots or shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots!r}")
     shots = int(shots)
+    history_bytes = 16 * shots * (state.n + 1 + int(grid_size))
+    if keep_history and history_bytes > MAX_HISTORY_BYTES:
+        raise ResourceLimitError(f"a history of {shots} posteriors needs "
+                                 f"{history_bytes} B, over the cap of {MAX_HISTORY_BYTES}")
     true_phase = float(_check_phase(true_phase))
 
     pmf = outcome_distribution(state, true_phase, geometry)

@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 usage or parameter error, 3 domain error
 import argparse
 import dataclasses
 import datetime
-from collections import Counter
 import json
 import sys
 from pathlib import Path
@@ -271,22 +270,23 @@ def cmd_simulate(args) -> None:
     result = simulate_sequence(state, _geometry(args), true_phase=args.phase,
                                shots=args.shots, seed=args.seed,
                                grid_size=args.grid)
-    outcomes = result.record.outcomes
     final = result.final_posterior
     peak_count = count_peaks(final)
-    frequencies = Counter(f"{o.n_c},{o.n_d}" for o in outcomes)
+    labels = [f"{n_c},{state.n - n_c}" for n_c in range(state.n + 1)]
+    draws = [outcome.n_c for outcome in result.record.outcomes]
+    counts = np.bincount(draws, minlength=state.n + 1)
     summary = {
         "true_phase": args.phase,
         "shots": args.shots,
         "seed": args.seed,
         "grid_size": args.grid,
-        "outcome_frequencies": {key: count / args.shots
-                                for key, count in sorted(frequencies.items())},
+        "outcome_frequencies": dict(sorted((labels[n_c], int(count) / args.shots)
+                                           for n_c, count in enumerate(counts) if count)),
         "final_peak_count": peak_count,
         "final_peaks": [{"phi": _round12(loc), "height": _round12(height)}
                         for loc, height in final.peaks],
     }
-    rows = (f"{i},{o.n_c},{o.n_d}" for i, o in enumerate(outcomes))
+    rows = (f"{shot},{labels[n_c]}" for shot, n_c in enumerate(draws))
     posterior_csv = (".posterior.csv", lambda: _csv(
         ["phi", "density"], _float_lines(final.grid.points, final.density)))
     _emit(args, "simulate", "csv", _csv(["shot", "n_c", "n_d"], rows),

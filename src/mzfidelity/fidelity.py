@@ -35,8 +35,8 @@ MAX_COUNT_VECTORS = 1_000_000
 # cells (count vectors x grid points) in one block of the streamed compound
 # table: 1 MiB of float64, so a block and its temporaries stay in cache
 _COMPOUND_BLOCK_CELLS = 1 << 17
-# exp of a log below this is a normal float under PROB_FLOOR, which the
-# clamp zeroes anyway; raising lower logs to it skips exp's slow underflow
+# exp of a log below this is a normal float under PROB_FLOOR, zeroed anyway;
+# raising lower logs (-inf too) to it skips exp's slow underflow and 0 * -inf
 _LOG_FLOOR = math.log(PROB_FLOOR) - 1.0
 
 
@@ -71,24 +71,18 @@ def heisenberg_limit(n: int) -> float:
     return 1.0 / n
 
 
-def _information_terms(probs: np.ndarray, weight: float,
-                       log_probs: np.ndarray = None, out: np.ndarray = None):
+def _information_terms(probs: np.ndarray, weight: float, out: np.ndarray = None):
     """Row terms of H and the log ratio L = log2(2pi P_mk / I_m) they use.
 
     H = (w/2pi) sum_mk P_mk L_mk is the ``math.fsum`` of the row terms (row
     sums, whose order no BLAS thread count changes), and dH/dP_mk =
     (w/2pi) L_mk because the terms from differentiating I_m cancel.  L is
-    0 where P = 0.  ``log_probs`` (ln P where P > 0) gives L without a log2
-    of P.  ``out`` (which may be ``log_probs``), if given, receives L.
+    0 where P = 0.  ``out``, if given, receives L.
     """
     totals = weight * probs.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):  # rows with I_m = 0
-        if log_probs is None:
-            log_ratio = np.multiply((TWO_PI / totals)[:, None], probs, out=out)
-            np.log2(log_ratio, out=log_ratio)
-        else:
-            log_ratio = np.multiply(log_probs, LOG2_E, out=out)
-            log_ratio += np.log2(TWO_PI / totals)[:, None]
+        log_ratio = np.multiply((TWO_PI / totals)[:, None], probs, out=out)
+        np.log2(log_ratio, out=log_ratio)
     log_ratio[~(probs > 0.0)] = 0.0
     rows = (weight / TWO_PI) * np.einsum("mk,mk->m", probs, log_ratio)
     return rows, log_ratio
@@ -165,12 +159,12 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
     every phase has probability 0 everywhere and adds exactly 0 to H and
     to the column sums, so only vectors over the possible outcomes are
     enumerated.  The compound table is streamed in blocks of about 1 MiB:
-    each takes L = log P from the counts
-    (:meth:`LikelihoodTable.log_likelihood_blocks`) and the multinomial
-    coefficient, then P = exp(L), one term of H per vector (its log ratio
-    built from L) and the column sums for the completeness check.  Memory
-    is one block plus the count vectors; more than ``MAX_COUNT_VECTORS``
-    vectors over all outcomes raise :class:`ResourceLimitError` up front.
+    L = ln P from the counts (:meth:`LikelihoodTable.log_likelihood_blocks`)
+    and the multinomial coefficient, clipped to at most 0, and P = exp(L),
+    zeroed under ``PROB_FLOOR``.  Vector v adds the term (w/2pi) [log2(e)
+    sum_k P_vk L_vk + S_v log2(2pi / (w S_v))], S_v = sum_k P_vk (0 if
+    S_v = 0).  Memory is one block plus the count vectors; more than
+    ``MAX_COUNT_VECTORS`` vectors (over all outcomes) raise ResourceLimitError.
     """
     if int(repeats) != repeats or repeats < 1:
         raise ValueError(f"repeats must be a positive integer, got {repeats!r}")
@@ -178,9 +172,8 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
     n_outcomes = table.outcome_count
     n_vectors = math.comb(repeats + n_outcomes - 1, n_outcomes - 1)
     if n_vectors > MAX_COUNT_VECTORS:
-        raise ResourceLimitError(
-            f"{n_vectors} compound count vectors exceed the cap of "
-            f"{MAX_COUNT_VECTORS}")
+        raise ResourceLimitError(f"{n_vectors} compound count vectors exceed the "
+                                 f"cap of {MAX_COUNT_VECTORS}")
 
     _check_columns(table.probs.sum(axis=0))  # also rejects all-zero tables
     possible = table.probs.any(axis=1)
@@ -194,16 +187,22 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
     starts = range(0, len(counts), block)
     column_sums = np.zeros(table.grid.size)
     terms = np.empty(len(counts))
+    buffer = np.empty((min(block, len(counts)), table.grid.size))
     log_blocks = table.log_likelihood_blocks(counts[start:start + block]
                                              for start in starts)
     for start, log_probs in zip(starts, log_blocks):
         log_probs += log_coefficients[start:start + block, None]
-        np.maximum(log_probs, _LOG_FLOOR, out=log_probs)
-        probs = _clamp_probs(np.exp(log_probs))
+        np.clip(log_probs, _LOG_FLOOR, 0.0, out=log_probs)
+        probs = np.exp(log_probs, out=buffer[:len(log_probs)])
+        np.copyto(probs, 0.0, where=probs < PROB_FLOOR)
         column_sums += probs.sum(axis=0)
-        terms[start:start + block] = _information_terms(
-            probs, table.grid.weight, log_probs, out=log_probs)[0]
+        mass = probs.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # vectors with S_v = 0
+            rows = (LOG2_E * np.einsum("vk,vk->v", probs, log_probs)
+                    + mass * np.log2(TWO_PI / (table.grid.weight * mass)))
+        terms[start:start + block] = np.where(mass > 0.0, rows, 0.0)
     _check_columns(column_sums)
+    terms *= table.grid.weight / TWO_PI
     return FidelityReport(h_bits=max(math.fsum(terms), 0.0),
                           state_label=f"{table.state_label} x{repeats}",
                           n_photons=table.n_total * repeats,

@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from mzfidelity import (Outcome, PhaseGrid, StateCoefficients,
+from mzfidelity import (Outcome, PhaseGrid, ResourceLimitError, StateCoefficients,
                         UndefinedCircularMeanError,
                         ZeroProbabilityOutcomeError, circular_summary,
                         count_peaks, fock_state, likelihood_table, noon_state,
                         posterior_density, posterior_for_outcome,
                         simulate_sequence)
+from mzfidelity import bayes
 from mzfidelity.bayes import PEAK_REL_THRESHOLD, PhasePosterior, _wrap_angle
 
 PHI_STAR_4_21 = 2.0 * math.atan(math.sqrt(4.0 / 21.0))  # 0.823033692...
@@ -370,6 +371,22 @@ def test_simulate_history_and_permutation_invariance():
     reversed_density /= table.grid.integrate(reversed_density)
     np.testing.assert_allclose(result.final_posterior.density, reversed_density,
                                atol=1e-12)
+
+
+def test_simulate_history_cap(monkeypatch):
+    # 16 shots x (3 counts + 256 points) x 16 B = 66304 B of history
+    monkeypatch.setattr(bayes, "MAX_HISTORY_BYTES", 66303)
+    with pytest.raises(ResourceLimitError, match="66304 B"):
+        simulate_sequence(fock_state(2), true_phase=0.4, shots=16, seed=3,
+                          grid_size=256, keep_history=True)
+    # the final posterior alone is not capped
+    result = simulate_sequence(fock_state(2), true_phase=0.4, shots=16, seed=3,
+                               grid_size=256)
+    assert len(result.posteriors) == 1
+    monkeypatch.setattr(bayes, "MAX_HISTORY_BYTES", 66304)
+    result = simulate_sequence(fock_state(2), true_phase=0.4, shots=16, seed=3,
+                               grid_size=256, keep_history=True)
+    assert len(result.posteriors) == 16
 
 
 def test_simulate_long_record_matches_exact_sum():

@@ -18,6 +18,7 @@ from mzfidelity import (Outcome, PhaseGrid, ResourceLimitError,
                         fock_state, heisenberg_limit, likelihood_table,
                         mutual_information, noon_state,
                         repeated_mutual_information, standard_limit)
+from mzfidelity import fidelity
 from mzfidelity.optics import LikelihoodTable
 
 H_SINGLE_PHOTON = 1.0 / math.log(2.0) - 1.0  # closed form: 0.4426950408889634
@@ -313,17 +314,27 @@ def test_compound_distribution_matches_multinomial_oracle():
     np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n,repeats", [(1, 60), (2, 30), (3, 20), (6, 10)])
+def test_repeated_fock_carries_what_the_total_count_does(n, repeats):
+    # the total n_c of R uses of |N,0> is sufficient for phi and is
+    # distributed as one use of |NR,0>
+    compound = repeated_mutual_information(likelihood_table(fock_state(n)), repeats)
+    direct = mutual_information(likelihood_table(fock_state(n * repeats)))
+    assert compound.h_bits == pytest.approx(direct.h_bits, abs=1e-12)
+
+
 @pytest.mark.parametrize("family", ["fock", "noon"])
 @pytest.mark.parametrize("n,repeats", [(1, 1200), (2, 50), (3, 20)])
-def test_repeats_match_long_double_reference(family, n, repeats):
-    table = likelihood_table({"fock": fock_state, "noon": noon_state}[family](n),
-                             grid_size=8192)
+def test_repeats_match_long_double_reference(family, n, repeats, holevo_bits):
+    state = {"fock": fock_state, "noon": noon_state}[family](n)
+    table = likelihood_table(state, grid_size=8192)
     h = repeated_mutual_information(table, repeats).h_bits
     assert h == pytest.approx(_long_double_compound_h(table.probs, repeats), abs=1e-13)
+    assert h <= holevo_bits(state.coeffs, repeats) + 1e-12
 
 
 @pytest.mark.parametrize("n,repeats", [(2, 2), (2, 50), (6, 3)])
-def test_repeats_skip_impossible_outcomes(n, repeats):
+def test_repeats_skip_impossible_outcomes(n, repeats, holevo_bits):
     # noon N = 2, 6 have one identically zero row: vectors counting it add
     # exactly nothing, so deleting the row by hand changes no bit of H
     table = likelihood_table(noon_state(n), grid_size=256)
@@ -332,10 +343,35 @@ def test_repeats_skip_impossible_outcomes(n, repeats):
     report = repeated_mutual_information(table, repeats)
     pruned = _table_from_rows(np.delete(table.probs, zero_rows, axis=0), n_total=n)
     assert report.h_bits == repeated_mutual_information(pruned, repeats).h_bits
+    assert report.h_bits <= holevo_bits(noon_state(n).coeffs, repeats) + 1e-12
     # the count still covers every outcome, as the cap does
     assert report.outcome_count == math.comb(repeats + n, n)
     with pytest.raises(ValueError, match="sum to 1"):
         repeated_mutual_information(_table_from_rows(np.zeros((2, 8))), repeats)
+
+
+def test_repeats_with_isolated_zero_cells(monkeypatch):
+    # rows that vanish at a few phases only: a vector counting one of them
+    # has L = -inf there, which the clip raises to the floor and the floor
+    # turns back into an exact 0
+    rng = np.random.default_rng(13)
+    rows = rng.uniform(0.1, 1.0, size=(3, 64))
+    rows[0, [3, 17]] = 0.0
+    rows[2, [17, 40]] = 0.0
+    rows /= rows.sum(axis=0)
+    column_sums = []
+    check = fidelity._check_columns
+
+    def record_and_check(sums):
+        column_sums.append(sums)
+        check(sums)
+
+    monkeypatch.setattr(fidelity, "_check_columns", record_and_check)
+    h = repeated_mutual_information(_table_from_rows(rows, n_total=2), 6).h_bits
+    assert h == pytest.approx(_long_double_compound_h(rows, 6), abs=1e-13)
+    # the table's columns, then the compound table's
+    assert len(column_sums) == 2
+    np.testing.assert_allclose(column_sums[1], 1.0, rtol=0.0, atol=1e-13)
 
 
 def test_repeats_resource_cap(monkeypatch):
