@@ -214,6 +214,8 @@ def cmd_fidelity(args) -> None:
     geometry = _geometry(args)
     if args.sweep:
         families = [token.strip() for token in args.sweep.split(",") if token.strip()]
+        if not families:
+            raise ValueError("--sweep names no state family")
         if args.n_max is None:
             raise ValueError("--n-max is required with --sweep")
         _check_grid(_require_n(args.n_max), args.grid)

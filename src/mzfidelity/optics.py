@@ -340,13 +340,30 @@ def _phase_factors(n_total: int, phi: np.ndarray,
     return np.exp(1j * angles)
 
 
+@lru_cache(maxsize=4)
+def _roots_of_unity(size: int) -> np.ndarray:
+    """w^j = e^(2 pi i j / size) for j = 0..size-1, shared, hence read-only."""
+    roots = np.exp((2j * np.pi / size) * np.arange(size))
+    roots.flags.writeable = False
+    return roots
+
+
 def _grid_stage(n_total: int, grid: PhaseGrid,
                 geometry: InterferometerGeometry) -> np.ndarray:
-    """:func:`_phase_factors` on ``grid``, from M exps: with phi_k = -pi +
-    2 pi k / M, E[n, k] = E[n](-pi) w^(n k mod M) and w = e^(2 pi i / M)."""
-    roots = np.exp((2j * np.pi / grid.size) * np.arange(grid.size))
-    powers = np.outer(np.arange(n_total + 1), np.arange(1, grid.size + 1))
-    stage = roots[np.remainder(powers, grid.size, out=powers)]
+    """:func:`_phase_factors` on ``grid``, from the cached roots of unity:
+    with phi_k = -pi + 2 pi k / M, E[n, k] = E[n](-pi) w^(n k mod M) and
+    w = e^(2 pi i / M)."""
+    size = grid.size
+    stage = np.tile(_roots_of_unity(size), (n_total + 1, 1))
+    # the flat buffer holds w^(i mod M) at every i, so row n is the stride-n
+    # view from i = n; written top row first, it reads only rows below n,
+    # which still hold the roots.  Stopping before i = n M, the last
+    # column's w^0 = 1, keeps the view off row n (numpy would copy it first)
+    flat = stage.reshape(-1)
+    for n in range(n_total, 0, -1):
+        stage[n, :-1] = flat[n:n * size:n]
+    stage[:, -1] = 1.0
+    stage[0] = 1.0
     stage *= _phase_factors(n_total, np.array([-np.pi]), geometry)
     return stage
 

@@ -191,8 +191,11 @@ def test_fidelity_sweep_ordering(capsys):
 
 
 def test_fidelity_requires_state_or_sweep(capsys):
-    code, _, _ = run_cli(["fidelity"], capsys)
-    assert code == 2
+    # a sweep list with no family in it is no sweep: no header-only CSV
+    for sweep in ([], ["--sweep", ",", "--n-max", "3"], ["--sweep", " , ", "--n-max", "3"]):
+        code, out, _ = run_cli(["fidelity", *sweep], capsys)
+        assert code == 2
+        assert out == ""
 
 
 # ---------------------------------------------------------------------------

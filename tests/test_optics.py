@@ -20,7 +20,7 @@ from mzfidelity import (DEFAULT_GEOMETRY, InterferometerGeometry, Outcome,
 from mzfidelity.cli import MAX_PHOTONS
 from mzfidelity.optics import (_I_POWERS, _grid_stage, _outcome_amplitudes,
                                _outcome_amplitudes_transpose, _phase_factors,
-                               _transfer_matrices, partition_weight)
+                               _roots_of_unity, _transfer_matrices, partition_weight)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -303,9 +303,18 @@ def test_grid_stage_matches_phase_factors(n, grid_size, geometry):
     # the stage from roots of unity against one exp per cell; the exps'
     # own angles n (phi + kl1) carry a rounding error that grows with n
     grid = PhaseGrid(grid_size)
-    np.testing.assert_allclose(_grid_stage(n, grid, geometry),
-                               _phase_factors(n, grid.points, geometry),
+    stage = _grid_stage(n, grid, geometry)
+    np.testing.assert_allclose(stage, _phase_factors(n, grid.points, geometry),
                                atol=4e-15 * (n + 1), rtol=0)
+    # bit for bit against the gather of w^(n k mod M), k = 1..M, from the
+    # same roots times the same -pi column
+    roots = np.exp((2j * np.pi / grid_size) * np.arange(grid_size))
+    powers = np.outer(np.arange(n + 1), np.arange(1, grid_size + 1)) % grid_size
+    reference = roots[powers] * _phase_factors(n, np.array([-np.pi]), geometry)
+    assert stage.tobytes() == reference.tobytes()
+    # the cached roots are shared between calls
+    with pytest.raises(ValueError):
+        _roots_of_unity(grid_size)[0] = 0.0
 
 
 def _direct_entries(n, n_out, n_in):
@@ -397,12 +406,14 @@ def test_table_columns_sum_to_one():
         np.testing.assert_allclose(table.probs.sum(axis=0), 1.0, atol=1e-12)
 
 
-def test_table_memory_is_about_two_grid_arrays():
+@pytest.mark.parametrize("n", [40, MAX_PHOTONS])
+def test_table_memory_is_about_two_grid_arrays(n):
     # the stage and the amplitudes are the only complex (N+1) x grid arrays
     # alive at once: the -pi column is multiplied into the stage in place
-    n, grid_size = 40, 8192
+    grid_size = 8192
     state = _random_state(np.random.default_rng(41), n)
     likelihood_table(state, grid_size=2)  # builds the transfer matrices
+    _roots_of_unity.cache_clear()  # the first call at a grid size builds its roots
     tracemalloc.start()
     try:
         likelihood_table(state, grid_size=grid_size)
