@@ -14,11 +14,9 @@ from .exceptions import (ResourceLimitError, StationaryPointError,
                          UndefinedCircularMeanError, ZeroProbabilityOutcomeError)
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, LikelihoodTable,
-                     Outcome, ScatteringMatrix, StateCoefficients,
-                     build_scattering_matrix, fock_outcome_prob, fock_state,
+                     Outcome, StateCoefficients, fock_outcome_prob, fock_state,
                      likelihood_table, noon_outcome_prob, noon_state,
-                     outcome_distribution, scattering_entries, state_outcome_prob,
-                     transition_amplitude)
+                     outcome_distribution)
 from .bayes import (MeasurementRecord, PhasePosterior, SimulationResult,
                     circular_summary, count_peaks, posterior_density,
                     posterior_for_outcome, simulate_sequence)
@@ -43,14 +41,12 @@ __all__ = [
     "PhaseGrid",
     "PhasePosterior",
     "ResourceLimitError",
-    "ScatteringMatrix",
     "SensitivityEstimate",
     "SimulationResult",
     "StateCoefficients",
     "StationaryPointError",
     "UndefinedCircularMeanError",
     "ZeroProbabilityOutcomeError",
-    "build_scattering_matrix",
     "circular_summary",
     "count_peaks",
     "error_propagation_sensitivity",
@@ -68,9 +64,6 @@ __all__ = [
     "posterior_for_outcome",
     "project_normalize",
     "repeated_mutual_information",
-    "scattering_entries",
     "simulate_sequence",
     "standard_limit",
-    "state_outcome_prob",
-    "transition_amplitude",
 ]

@@ -1,4 +1,4 @@
-"""Two-port interferometer optics: scattering matrix and outcome probabilities.
+"""Two-port interferometer optics: states, outcomes and outcome probabilities.
 
 The device maps the two input ports (a, b) onto the two output ports
 (c, d) through a phase-dependent 2x2 unitary.  Input states are
@@ -16,14 +16,17 @@ Campos, Saleh & Teich, PRA 40, 1371 (1989)):
 
 Photon-number representations multiply like the 2x2 matrices, so the
 outcome amplitudes of a coefficient vector c on a phase grid are
-W_L (E * (W_R c)), with W_L and W_R built once per photon number and E
-the diagonal stage's phase factors (i n E gives the exact dA/dphi).  On
-the uniform grid E is built from M roots of unity (:func:`_grid_stage`).
+W_L (E * (W_R c)), with E the diagonal stage's phase factors (i n E gives
+the exact dA/dphi).  Both splitter matrices are one real symmetric
+involution K between exact phases, W_L = diag(i^(N-m)) K diag((-1)^n) and
+W_R = K diag(i^(3n-N)), so K is built once per photon number
+(:func:`_beam_splitter`) and the row phases i^(N-m), which no probability
+sees, are never applied.  On the uniform grid E is built from M roots of
+unity (:func:`_grid_stage`).
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
@@ -35,7 +38,6 @@ from .grid import DEFAULT_GRID_SIZE, PhaseGrid
 # of subnormal noise downstream)
 PROB_FLOOR = 1e-300
 NORM_TOL = 1e-12
-UNITARITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,19 +76,6 @@ class Outcome:
     @property
     def total(self) -> int:
         return self.n_c + self.n_d
-
-
-@dataclass(eq=False)
-class ScatteringMatrix:
-    """2x2 unitary relating input-mode to output-mode operators at one phase."""
-
-    entries: np.ndarray
-    phase: float
-
-    def unitarity_defect(self) -> float:
-        """Max entrywise deviation of S^dagger S from the identity."""
-        gram = self.entries.conj().T @ self.entries
-        return float(np.abs(gram - np.eye(2)).max())
 
 
 @dataclass(eq=False)
@@ -150,42 +139,6 @@ def _check_phase(phi) -> np.ndarray:
     return phi
 
 
-def scattering_entries(phi, geometry: InterferometerGeometry = DEFAULT_GEOMETRY):
-    """Entries (s11, s12, s21, s22) of the device unitary, vectorized over phi.
-
-    The matrix is u*sigma_z + v*sigma_x with
-    u = (e^{i(phi+kl1)} - e^{i kl2})/2 and v = -i(e^{i(phi+kl1)} + e^{i kl2})/2,
-    i.e. rows/columns ordered (port a|c, port b|d).
-    """
-    phi = _check_phase(phi)
-    upper = np.exp(1j * (phi + geometry.kl1))
-    lower = np.exp(1j * geometry.kl2)
-    u = 0.5 * (upper - lower)
-    v = -0.5j * (upper + lower)
-    return u, v, v, -u
-
-
-def build_scattering_matrix(phi: float,
-                            geometry: InterferometerGeometry = DEFAULT_GEOMETRY
-                            ) -> ScatteringMatrix:
-    """Device unitary at a single phase value.
-
-    Raises ``ValueError`` for non-finite input and checks the unitarity
-    invariant (defect below 1e-12) before returning.
-    """
-    phi = float(_check_phase(phi))
-    s11, s12, s21, s22 = scattering_entries(phi, geometry)
-    matrix = ScatteringMatrix(
-        entries=np.array([[s11, s12], [s21, s22]], dtype=np.complex128),
-        phase=phi,
-    )
-    defect = matrix.unitarity_defect()
-    if defect > UNITARITY_TOL:  # pragma: no cover - construction guarantees this
-        raise ValueError(f"scattering matrix unitarity defect {defect} exceeds "
-                         f"{UNITARITY_TOL}")
-    return matrix
-
-
 def _clamp_probs(p: np.ndarray) -> np.ndarray:
     p[p < PROB_FLOOR] = 0.0
     # nothing is negative any more: one-sided is the same clip, and faster
@@ -237,53 +190,9 @@ def noon_outcome_prob(n_total: int, outcome: Outcome, phi):
     return p if phi.ndim else float(p[0])
 
 
-def partition_weight(n_a: int, n_b: int, n_c: int, j: int) -> float:
-    """Exact-arithmetic transfer weight for one partition term.
-
-    sqrt(n_c! n_d! / (n_a! n_b!)) * C(n_a, j) * C(n_b, n_c - j): the
-    weight of sending j of the n_a photons of port a, and n_c - j of the
-    n_b photons of port b, to output c.
-    """
-    n_d = n_a + n_b - n_c
-    ratio = Fraction(math.factorial(n_c) * math.factorial(n_d),
-                     math.factorial(n_a) * math.factorial(n_b))
-    return math.comb(n_a, j) * math.comb(n_b, n_c - j) * math.sqrt(ratio)
-
-
-def transition_amplitude(smatrix: ScatteringMatrix,
-                         n_a: int, n_b: int, n_c: int, n_d: int) -> complex:
-    """Amplitude <n_c, n_d| applied to |n_a, n_b> under the device unitary.
-
-    Photon number is conserved; ``n_a + n_b != n_c + n_d`` is a domain
-    error.  Evaluated as a finite sum over transfer partitions with
-    exact-integer weights (:func:`partition_weight`), stable up to at
-    least 40 photons.  This scalar sum is independent of the grid engine
-    behind :func:`likelihood_table` and serves as its reference.
-    """
-    counts = {"n_a": n_a, "n_b": n_b, "n_c": n_c, "n_d": n_d}
-    for name, value in counts.items():
-        if int(value) != value or value < 0:
-            raise ValueError(f"photon count {name} must be a non-negative "
-                             f"integer, got {value!r}")
-    n_a, n_b, n_c, n_d = (int(v) for v in (n_a, n_b, n_c, n_d))
-    if n_a + n_b != n_c + n_d:
-        raise ValueError(f"photon number mismatch: input {n_a}+{n_b} != "
-                         f"output {n_c}+{n_d}")
-    s = smatrix.entries
-    amp = 0.0 + 0.0j
-    for j in range(max(0, n_c - n_b), min(n_a, n_c) + 1):
-        weight = partition_weight(n_a, n_b, n_c, j)
-        amp += (s[0, 0] ** j * s[1, 0] ** (n_a - j)
-                * s[0, 1] ** (n_c - j) * s[1, 1] ** (n_b - n_c + j)) * weight
-    return complex(amp)
-
-
 # ---------------------------------------------------------------------------
 # factorized amplitude engine
 # ---------------------------------------------------------------------------
-
-_I_POWERS = (1.0, 1j, -1.0, -1j)
-
 
 def _sqrt_ratio(num: int, den: int) -> float:
     """sqrt(num / den) of non-negative integers, correctly rounded to a float."""
@@ -299,36 +208,38 @@ def _sqrt_ratio(num: int, den: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _transfer_matrices(n_total: int):
-    """Photon-number matrices W_L, W_R of the two fixed beam splitters.
+def _beam_splitter(n_total: int):
+    """K, p = i^(3n-N) and s = (-1)^n, with which the fixed beam splitters'
+    matrices are W_L = diag(i^(N-m)) K diag(s) and W_R = K diag(p).
 
-    Entry [n_out, n_in] is the amplitude from |n_in, N-n_in> to
-    |n_out, N-n_out>: for balanced splitters, an exact integer Krawtchouk
-    number K times i^p and sqrt(C(N, n_in) / (C(N, n_out) 2^N)), rounded
-    once.  Column n_in of K holds the coefficients of (1-x)^n_in
-    (1+x)^(N-n_in), so (1-x) K_{n-1} = (1+x) K_n gives all of K in O(N^2)
-    integer additions (MacWilliams & Sloane, The Theory of Error-Correcting
-    Codes, ch. 5).  The arrays are shared between callers, hence read-only.
+    Entry [m, n] is the amplitude from |n, N-n> to |m, N-m>.  K is real,
+    symmetric and its own inverse; K[m, n] is an exact integer Krawtchouk
+    number k times sqrt(C(N, n) / (C(N, m) 2^N)), rounded once.  Column n
+    of k holds the coefficients of (1-x)^n (1+x)^(N-n), so
+    (1-x) k_{n-1} = (1+x) k_n gives all of k in O(N^2) integer additions
+    (MacWilliams & Sloane, The Theory of Error-Correcting Codes, ch. 5).
+    K = K^T and K[N-m] = s K[m] hold exactly, so only the entries with
+    m <= min(n, N/2) take a root.  The arrays are shared, hence read-only.
     """
     size = n_total + 1
     binomials = [math.comb(n_total, n) for n in range(size)]
-    w_l = np.zeros((size, size), dtype=np.complex128)
-    w_r = np.zeros((size, size), dtype=np.complex128)
+    k = np.zeros((size, size))
     column = [(-1) ** j * binomial for j, binomial in enumerate(binomials)]
-    for n_in in range(n_total, -1, -1):
-        for n_out, krawtchouk in enumerate(column):
-            if krawtchouk == 0:
-                continue
-            magnitude = math.copysign(_sqrt_ratio(
-                krawtchouk ** 2 * binomials[n_in], binomials[n_out] << n_total),
-                krawtchouk)
-            w_l[n_out, n_in] = _I_POWERS[(n_total - n_out - 2 * n_in) % 4] * magnitude
-            w_r[n_out, n_in] = _I_POWERS[(3 * n_in - n_total) % 4] * magnitude
-        # dividing (1+x) K_n by (1-x) is a running sum of its coefficients
+    for n in range(n_total, -1, -1):
+        for m, krawtchouk in enumerate(column[:min(n, n_total // 2) + 1]):
+            if krawtchouk:
+                k[m, n] = math.copysign(_sqrt_ratio(
+                    krawtchouk ** 2 * binomials[n], binomials[m] << n_total), krawtchouk)
+        # dividing (1+x) k_n by (1-x) is a running sum of its coefficients
         column = list(accumulate(a + b for a, b in zip(column, [0] + column)))
-    w_l.flags.writeable = False
-    w_r.flags.writeable = False
-    return w_l, w_r
+    signs = np.resize([1.0, -1.0], size)
+    k += np.triu(k, 1).T
+    # + 0.0 keeps K's zeros +0.0 where s flips them, so K = K^T bit for bit
+    k[::-1][:size // 2] = k[:size // 2] * signs + 0.0
+    phases = np.array([1, 1j, -1, -1j])[(3 * np.arange(size) - n_total) % 4]
+    for array in (k, phases, signs):
+        array.flags.writeable = False
+    return k, phases, signs
 
 
 def _phase_factors(n_total: int, phi: np.ndarray,
@@ -369,25 +280,26 @@ def _grid_stage(n_total: int, grid: PhaseGrid,
 
 
 def _outcome_amplitudes(coeffs: np.ndarray, stage: np.ndarray) -> np.ndarray:
-    """Amplitudes A = (W_L diag(W_R c)) stage, with N+1 = len(stage).
+    """Amplitudes A = (K diag(s K p c)) stage, with N+1 = len(stage).
 
-    No grid-sized array but A exists.  A stage E (:func:`_grid_stage`,
-    :func:`_phase_factors`) gives A at its phases, i n E dA/dphi there.
-    Outcomes that vanish identically come out as exact zeros: each of
-    their Fourier coefficients W_L[n_c, n] (W_R c)[n] has an exactly zero
-    factor (an integer Krawtchouk zero, or equal-magnitude terms of
-    opposite sign).
+    A is W_L (stage * (W_R c)) without the row phases i^(N-m), which change
+    neither |A|^2 nor conj(A) dA/dphi.  No grid-sized array but A exists.
+    A stage E (:func:`_grid_stage`, :func:`_phase_factors`) gives A at its
+    phases, i n E dA/dphi there.  Outcomes that vanish identically come out
+    as exact zeros: each of their Fourier coefficients K[m, n] (s K p c)[n]
+    has an exactly zero factor (an integer Krawtchouk zero, or
+    equal-magnitude terms of opposite sign).
     """
-    w_l, w_r = _transfer_matrices(stage.shape[0] - 1)
-    return (w_l * (w_r @ coeffs)) @ stage
+    k, phases, signs = _beam_splitter(stage.shape[0] - 1)
+    return (k * (signs * (k @ (phases * coeffs)))) @ stage
 
 
 def _outcome_amplitudes_transpose(values: np.ndarray, stage: np.ndarray) -> np.ndarray:
-    """v -> W_R^T sum_k stage[n, k] (W_L^T v)[n, k], the transpose of
+    """v -> p K s sum_k stage[n, k] (K v)[n, k], the transpose of
     :func:`_outcome_amplitudes`: sum(v * A(c)) = c @ this."""
-    w_l, w_r = _transfer_matrices(stage.shape[0] - 1)
-    # the sum over k first: (W_L^T v)[n, k] never exists
-    return w_r.T @ np.einsum("mn,mn->n", w_l, values @ stage.T)
+    k, phases, signs = _beam_splitter(stage.shape[0] - 1)
+    # the sum over k first: (K v)[n, k] never exists
+    return phases * (k @ (signs * np.einsum("mn,mn->n", k, values @ stage.T)))
 
 
 def outcome_distribution(state: StateCoefficients, phi: float,
@@ -398,22 +310,6 @@ def outcome_distribution(state: StateCoefficients, phi: float,
     amps = _outcome_amplitudes(state.coeffs,
                                _phase_factors(state.n, np.array([phi]), geometry))
     return _clamp_probs(np.abs(amps[:, 0]) ** 2)
-
-
-def state_outcome_prob(state: StateCoefficients, phi: float,
-                       geometry: InterferometerGeometry = DEFAULT_GEOMETRY,
-                       outcome: Outcome = None) -> float:
-    """Probability of one outcome for an arbitrary input state at one phase.
-
-    Amplitudes of the N+1 basis inputs are summed coherently before
-    squaring.  The outcome must carry the state's total photon number.
-    """
-    if outcome is None:
-        raise ValueError("an outcome is required")
-    if outcome.total != state.n:
-        raise ValueError(f"outcome counts {outcome.n_c}+{outcome.n_d} do not "
-                         f"match the state photon number {state.n}")
-    return float(outcome_distribution(state, phi, geometry)[outcome.n_c])
 
 
 @dataclass(eq=False)

@@ -7,11 +7,12 @@ u = c/|c|, before evaluation, so the search is unconstrained; H changes
 neither along c (scale) nor along i*c (global phase), and the global
 phase of the winner is fixed by convention after the search.
 
-The amplitudes A = M u = W_L (E * (W_R u)) are linear in u, and the phase
-stage E is built once per search, from the grid's M roots of unity, so the
-analytic gradient costs one pass of the engine's transpose M^T, in
-O(N x grid) memory.  With P = |A|^2,
-I_m = w sum_k P_mk and G = dH/dP = (w/2pi) log2(2pi P / I_m):
+The amplitudes A = M u = K (E * (s K (p u))) are linear in u (K is the
+beam splitters' real involution, s = (-1)^n and p = i^(3n-N); see
+:func:`~mzfidelity.optics._beam_splitter`), and the phase stage E is built
+once per search, from the grid's M roots of unity, so the analytic gradient
+costs one pass of the engine's transpose M^T, in O(N x grid) memory.
+With P = |A|^2, I_m = w sum_k P_mk and G = dH/dP = (w/2pi) log2(2pi P / I_m):
 
     g   = 2 conj(M^T(conj(A) G))     gradient with respect to u,
     g_c = (g - u Re<u, g>) / |c|     gradient with respect to c,

@@ -1,4 +1,4 @@
-"""Scattering matrix, closed-form likelihoods, and the amplitude engine."""
+"""Scattering matrix oracle, closed-form likelihoods, and the amplitude engine."""
 
 import decimal
 import math
@@ -13,17 +13,18 @@ import pytest
 
 import mzfidelity
 from mzfidelity import (DEFAULT_GEOMETRY, InterferometerGeometry, Outcome,
-                        PhaseGrid, StateCoefficients, build_scattering_matrix,
-                        fock_outcome_prob, fock_state, likelihood_table,
-                        noon_outcome_prob, noon_state, state_outcome_prob,
-                        transition_amplitude)
+                        PhaseGrid, StateCoefficients, fock_outcome_prob, fock_state,
+                        likelihood_table, noon_outcome_prob, noon_state,
+                        outcome_distribution, optics)
 from mzfidelity.cli import MAX_PHOTONS
-from mzfidelity.optics import (_I_POWERS, _grid_stage, _outcome_amplitudes,
+from mzfidelity.optics import (_beam_splitter, _grid_stage, _outcome_amplitudes,
                                _outcome_amplitudes_transpose, _phase_factors,
-                               _roots_of_unity, _transfer_matrices, partition_weight)
+                               _roots_of_unity, _sqrt_ratio)
+from oracle import build_scattering_matrix, partition_weight, transition_amplitude
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+I_POWERS = (1.0, 1j, -1.0, -1j)
 
 
 def _random_state(rng, n):
@@ -31,8 +32,15 @@ def _random_state(rng, n):
     return StateCoefficients(c / np.linalg.norm(c))
 
 
+def _row_phases(n):
+    # W_L's row phases i^(N-m), which the engine leaves out of A
+    return np.array(I_POWERS)[(n - np.arange(n + 1)) % 4][:, None]
+
+
 def _amplitudes(coeffs, phis, geometry):
-    return _outcome_amplitudes(coeffs, _phase_factors(coeffs.size - 1, phis, geometry))
+    # the device's amplitudes W_L (E * (W_R c))
+    n = coeffs.size - 1
+    return _row_phases(n) * _outcome_amplitudes(coeffs, _phase_factors(n, phis, geometry))
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +81,7 @@ def test_state_coefficients_validation():
 
 
 # ---------------------------------------------------------------------------
-# scattering matrix
+# scattering matrix (the test oracle)
 # ---------------------------------------------------------------------------
 
 def test_matrix_at_zero_phase_swaps_ports():
@@ -180,14 +188,9 @@ def test_engine_reproduces_noon_closed_form(n):
     state = noon_state(n)
     for phi in phis[::8]:
         for n_c in range(n + 1):
-            engine = state_outcome_prob(state, phi, outcome=Outcome(n_c, n - n_c))
+            engine = outcome_distribution(state, phi)[n_c]
             exact = noon_outcome_prob(n, Outcome(n_c, n - n_c), phi)
             assert engine == pytest.approx(exact, abs=1e-12)
-
-
-def test_state_outcome_prob_validates_outcome_total():
-    with pytest.raises(ValueError, match="photon number"):
-        state_outcome_prob(fock_state(3), 0.1, outcome=Outcome(1, 1))
 
 
 def test_completeness_random_states():
@@ -197,8 +200,7 @@ def test_completeness_random_states():
         for _ in range(5):
             state = _random_state(rng, n)
             for phi in phis:
-                total = sum(state_outcome_prob(state, phi, outcome=Outcome(k, n - k))
-                            for k in range(n + 1))
+                total = sum(outcome_distribution(state, phi))
                 assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -208,7 +210,7 @@ def test_fock_reduction_of_general_state():
     phis = PhaseGrid(32).points
     for phi in phis[::4]:
         for n_c in range(7):
-            general = state_outcome_prob(state, phi, outcome=Outcome(n_c, 6 - n_c))
+            general = outcome_distribution(state, phi)[n_c]
             exact = fock_outcome_prob(6, Outcome(n_c, 6 - n_c), phi)
             assert general == pytest.approx(exact, abs=1e-13)
 
@@ -272,7 +274,8 @@ def test_derivative_stage_matches_central_difference(n):
     phis = rng.uniform(-np.pi, np.pi, size=4)
     step = 1e-5
     stage = _phase_factors(n, phis, geometry)
-    exact = _outcome_amplitudes(coeffs, 1j * np.arange(n + 1)[:, None] * stage)
+    exact = _row_phases(n) * _outcome_amplitudes(coeffs,
+                                                 1j * np.arange(n + 1)[:, None] * stage)
     central = (_amplitudes(coeffs, phis + step, geometry)
                - _amplitudes(coeffs, phis - step, geometry)) / (2 * step)
     # truncation error h^2 |d^3A/dphi^3| / 6, and |d^3A/dphi^3| <~ N^3 here
@@ -318,45 +321,87 @@ def test_grid_stage_matches_phase_factors(n, grid_size, geometry):
 
 
 def _direct_entries(n, n_out, n_in):
-    # W_L and W_R at [n_out, n_in] from the direct Krawtchouk sum, with the
-    # magnitude sqrt(K^2 n_out! (N-n_out)! / (n_in! n_b! 2^N)) taken to 80
-    # digits and then rounded to a float
+    # K, W_L and W_R at [n_out, n_in] from the direct Krawtchouk sum, with
+    # the magnitude sqrt(k^2 n_out! (N-n_out)! / (n_in! n_b! 2^N)) taken to
+    # 80 digits and then rounded to a float
     n_b = n - n_in
     krawtchouk = sum((-1) ** j * math.comb(n_in, j) * math.comb(n_b, n_out - j)
                      for j in range(max(0, n_out - n_b), min(n_in, n_out) + 1))
     if krawtchouk == 0:
-        return 0j, 0j
+        return 0.0, 0j, 0j
     with decimal.localcontext(prec=80):
         ratio = (decimal.Decimal(krawtchouk ** 2 * math.factorial(n_out)
                                  * math.factorial(n - n_out))
                  / (math.factorial(n_in) * math.factorial(n_b) * 2 ** n))
         magnitude = math.copysign(float(ratio.sqrt()), krawtchouk)
-    return (_I_POWERS[(n_b - n_out - n_in) % 4] * magnitude,
-            _I_POWERS[(2 * n_in - n_b) % 4] * magnitude)
+    return (magnitude,
+            I_POWERS[(n_b - n_out - n_in) % 4] * magnitude,
+            I_POWERS[(2 * n_in - n_b) % 4] * magnitude)
+
+
+def _transfer_matrices(n):
+    # W_L = diag(i^(N-m)) K diag(s) and W_R = K diag(p), rebuilt from K
+    k, phases, signs = _beam_splitter(n)
+    return _row_phases(n) * k * signs, k * phases
 
 
 def test_transfer_matrices_match_direct_krawtchouk_sums():
-    # bit for bit: the recurrence's integers and a correctly rounded root
+    # K bit for bit: the recurrence's integers and a correctly rounded root.
+    # W_L and W_R rebuilt from it match by value: their products carry
+    # signed zeros
     for n in range(61):
-        reference = np.array([[_direct_entries(n, n_out, n_in) for n_out in range(n + 1)]
-                              for n_in in range(n + 1)], dtype=np.complex128).T
-        for w, expected in zip(_transfer_matrices(n), reference):
-            assert w.tobytes() == expected.tobytes()
-    for n in [*range(61), 100, 150, MAX_PHOTONS]:
-        for w in _transfer_matrices(n):
-            assert np.abs(w @ w.conj().T - np.eye(n + 1)).max() <= 1e-13
+        reference = [np.array([[_direct_entries(n, n_out, n_in)[part]
+                                for n_in in range(n + 1)] for n_out in range(n + 1)])
+                     for part in range(3)]
+        assert _beam_splitter(n)[0].tobytes() == reference[0].tobytes()
+        for w, expected in zip(_transfer_matrices(n), reference[1:]):
+            assert np.array_equal(w, expected)
+    for n in range(MAX_PHOTONS + 1):
+        k, _, signs = _beam_splitter(n)
+        assert k.tobytes() == k.T.tobytes()
+        # s K[m] has -0.0 where K keeps its exact zeros as +0.0, so the
+        # flip is checked by value, and the zeros' sign on its own
+        assert np.array_equal(k[::-1], k * signs)
+        assert not np.signbit(k[k == 0.0]).any()
+        assert np.abs(k @ k - np.eye(n + 1)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n,rows", [(150, [2, 12]), (MAX_PHOTONS, [48, 152])])
 def test_transfer_matrices_are_correctly_rounded(n, rows):
     # rows holding an entry that truncating the root, instead of rounding
-    # it, leaves one ulp low, e.g. |W_L[48, 70]| = 0.05605728228246341 at
+    # it, leaves one ulp low, e.g. |K[48, 70]| = 0.05605728228246341 at
     # N = 200, not 0.0560572822824634
+    k = _beam_splitter(n)[0]
     w_l, w_r = _transfer_matrices(n)
     for n_out in rows:
         for n_in in range(n + 1):
-            expected = _direct_entries(n, n_out, n_in)
-            assert (w_l[n_out, n_in], w_r[n_out, n_in]) == expected
+            magnitude, *expected = _direct_entries(n, n_out, n_in)
+            assert k[n_out, n_in] == magnitude
+            assert [w_l[n_out, n_in], w_r[n_out, n_in]] == expected
+
+
+def test_beam_splitter_is_read_only_and_built_from_few_roots(monkeypatch):
+    # the cached arrays are shared between callers
+    cached = _beam_splitter(MAX_PHOTONS)
+    for array in cached:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    # only the entries with m <= min(n, N/2), about 3/8 of them, take a
+    # root; K = K^T and K[N-m] = s K[m] fill in the rest.  A fresh build,
+    # past the cache, counts the roots
+    calls = []
+
+    def counting_sqrt_ratio(num, den):
+        calls.append((num, den))
+        return _sqrt_ratio(num, den)
+
+    monkeypatch.setattr(optics, "_sqrt_ratio", counting_sqrt_ratio)
+    fresh = _beam_splitter.__wrapped__(MAX_PHOTONS)
+    assert 0 < len(calls) <= 0.4 * (MAX_PHOTONS + 1) ** 2
+    for array, shared in zip(fresh, cached):
+        assert not array.flags.writeable
+        assert array.tobytes() == shared.tobytes()
 
 
 def test_completeness_and_closed_forms_up_to_photon_cap():
@@ -412,7 +457,7 @@ def test_table_memory_is_about_two_grid_arrays(n):
     # alive at once: the -pi column is multiplied into the stage in place
     grid_size = 8192
     state = _random_state(np.random.default_rng(41), n)
-    likelihood_table(state, grid_size=2)  # builds the transfer matrices
+    likelihood_table(state, grid_size=2)  # builds K
     _roots_of_unity.cache_clear()  # the first call at a grid size builds its roots
     tracemalloc.start()
     try:
