@@ -23,6 +23,12 @@ W_R = K diag(i^(3n-N)), so K is built once per photon number
 (:func:`_beam_splitter`) and the row phases i^(N-m), which no probability
 sees, are never applied.  On the uniform grid E is built from M roots of
 unity (:func:`_grid_stage`).
+
+Swapping the output ports is a phase shift of pi: K[N-m] = s K[m] and
+s_n E[n](phi) = E[n](phi + pi), so P(N-m | phi) = P(m | phi + pi) for every
+input state and geometry.  On a grid of even size M, phi_k + pi is the grid
+point k + M/2, so only the rows m <= N/2 are computed
+(:func:`_distinct_rows`) and row N-m is row m rolled by half a period.
 """
 
 import math
@@ -279,27 +285,40 @@ def _grid_stage(n_total: int, grid: PhaseGrid,
     return stage
 
 
-def _outcome_amplitudes(coeffs: np.ndarray, stage: np.ndarray) -> np.ndarray:
-    """Amplitudes A = (K diag(s K p c)) stage, with N+1 = len(stage).
+def _distinct_rows(n_total: int, grid_size: int) -> int:
+    """Outcome rows a grid table computes: m <= N/2 on an even grid, where
+    row N-m is row m shifted by pi, that is by M/2 points; all N+1 on an
+    odd grid, where phi + pi is not a grid point."""
+    return n_total // 2 + 1 if grid_size % 2 == 0 else n_total + 1
+
+
+def _outcome_amplitudes(coeffs: np.ndarray, stage: np.ndarray,
+                        rows: int = None) -> np.ndarray:
+    """Amplitudes A = (K[:rows] diag(s K p c)) stage of the outcomes
+    m < ``rows`` (all N+1 if None), with N+1 = len(stage).
 
     A is W_L (stage * (W_R c)) without the row phases i^(N-m), which change
     neither |A|^2 nor conj(A) dA/dphi.  No grid-sized array but A exists.
     A stage E (:func:`_grid_stage`, :func:`_phase_factors`) gives A at its
-    phases, i n E dA/dphi there.  Outcomes that vanish identically come out
-    as exact zeros: each of their Fourier coefficients K[m, n] (s K p c)[n]
-    has an exactly zero factor (an integer Krawtchouk zero, or
-    equal-magnitude terms of opposite sign).
+    phases, i n E dA/dphi there.  Row N-m, if left out, is
+    (K[m] diag(s b)) stage with b = s K p c, and s_n stage[n] is the stage
+    at phi + pi: A at the mirrored outcome is A at m shifted by pi.
+    Outcomes that vanish identically come out as exact zeros: each of
+    their Fourier coefficients K[m, n] (s K p c)[n] has an exactly zero
+    factor (an integer Krawtchouk zero, or equal-magnitude terms of
+    opposite sign).
     """
     k, phases, signs = _beam_splitter(stage.shape[0] - 1)
-    return (k * (signs * (k @ (phases * coeffs)))) @ stage
+    return (k[:rows] * (signs * (k @ (phases * coeffs)))) @ stage
 
 
 def _outcome_amplitudes_transpose(values: np.ndarray, stage: np.ndarray) -> np.ndarray:
-    """v -> p K s sum_k stage[n, k] (K v)[n, k], the transpose of
-    :func:`_outcome_amplitudes`: sum(v * A(c)) = c @ this."""
+    """v -> p K s sum_k stage[n, k] (K[:rows]^T v)[n, k] with rows = len(v),
+    the transpose of :func:`_outcome_amplitudes`: sum(v * A(c)) = c @ this."""
     k, phases, signs = _beam_splitter(stage.shape[0] - 1)
     # the sum over k first: (K v)[n, k] never exists
-    return phases * (k @ (signs * np.einsum("mn,mn->n", k, values @ stage.T)))
+    return phases * (k @ (signs * np.einsum("mn,mn->n", k[:len(values)],
+                                            values @ stage.T)))
 
 
 def outcome_distribution(state: StateCoefficients, phi: float,
@@ -365,12 +384,24 @@ def likelihood_table(state: StateCoefficients,
 
     Rows are ordered by n_c = 0..N; columns follow the grid points.  Every
     column sums to 1 (photon-number projectors are complete and the device
-    unitary).
+    unitary).  On an even grid the rows m > N/2 are the rows N-m rolled by
+    half a period, bit for bit.
     """
     grid = PhaseGrid(grid_size)
-    amps = _outcome_amplitudes(state.coeffs, _grid_stage(state.n, grid, geometry))
-    probs = np.abs(amps)
-    probs = _clamp_probs(np.square(probs, out=probs))
-    outcomes = [Outcome(n_c, state.n - n_c) for n_c in range(state.n + 1)]
+    n, size = state.n, grid.size
+    rows = _distinct_rows(n, size)
+    # the stage is freed on return, before the table is allocated
+    amps = _outcome_amplitudes(state.coeffs, _grid_stage(n, grid, geometry), rows)
+    probs = np.empty((n + 1, size))
+    computed = probs[:rows]
+    _clamp_probs(np.square(np.abs(amps, out=computed), out=computed))
+    left_out = n + 1 - rows
+    if left_out:
+        # rows N, N-1, .. are rows 0, 1, .. rolled by M/2 points
+        half = size // 2
+        mirrored, sources = probs[:rows - 1:-1], probs[:left_out]
+        mirrored[:, :half] = sources[:, half:]
+        mirrored[:, half:] = sources[:, :half]
+    outcomes = [Outcome(n_c, n - n_c) for n_c in range(n + 1)]
     return LikelihoodTable(grid=grid, probs=probs, outcomes=outcomes,
-                           state_label=state.label, n_total=state.n)
+                           state_label=state.label, n_total=n)

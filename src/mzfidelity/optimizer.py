@@ -14,11 +14,18 @@ once per search, from the grid's M roots of unity, so the analytic gradient
 costs one pass of the engine's transpose M^T, in O(N x grid) memory.
 With P = |A|^2, I_m = w sum_k P_mk and G = dH/dP = (w/2pi) log2(2pi P / I_m):
 
-    g   = 2 conj(M^T(conj(A) G))     gradient with respect to u,
+    H   = sum_m mu_m (w/2pi) sum_k P_mk log2(2pi P_mk / I_m),
+    g   = 2 conj(M^T(mu conj(A) G))  gradient with respect to u,
     g_c = (g - u Re<u, g>) / |c|     gradient with respect to c,
 
 whose real and imaginary parts are the real gradient; it is orthogonal
-to c and to i*c.  Each restart is an L-BFGS-B search (Byrd, Lu, Nocedal
+to c and to i*c.  On an odd grid m runs over all N+1 outcomes, with
+multiplicity mu_m = 1.  On an even grid row N-m is row m shifted by pi,
+half the grid (swapping the output ports is a phase shift of pi; see
+:mod:`~mzfidelity.optics`), so its terms in H and g equal row m's: only
+the rows m <= N/2 are computed, the terms of each m < N/2 count twice
+(mu_m = 2) and the middle row m = N/2 of an even N, its own mirror,
+once.  Each restart is an L-BFGS-B search (Byrd, Lu, Nocedal
 and Zhu, SIAM J. Sci. Comput. 16, 1190 (1995)) on the coarse search
 grid.  The first two restarts always start from the two benchmark states
 (all photons in one port, and the two-sided superposition), so the
@@ -33,8 +40,8 @@ import numpy as np
 from .fidelity import TWO_PI, _information_terms, mutual_information
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, StateCoefficients,
-                     _check_photon_number, _clamp_probs, _grid_stage,
-                     _outcome_amplitudes, _outcome_amplitudes_transpose,
+                     _check_photon_number, _clamp_probs, _distinct_rows,
+                     _grid_stage, _outcome_amplitudes, _outcome_amplitudes_transpose,
                      fock_state, likelihood_table, noon_state)
 
 ZERO_NORM_TOL = 1e-15
@@ -113,21 +120,26 @@ def _negative_information(n_photons: int, grid: PhaseGrid,
     """The search objective: x = [Re c, Im c] -> (-H, -dH/dx) on ``grid``."""
     dim = n_photons + 1
     stage = _grid_stage(n_photons, grid, geometry)
+    rows = _distinct_rows(n_photons, grid.size)
+    # rows m < N/2 whose mirrors N-m are left out: multiplicity 2
+    doubled = dim - rows
     # the objective runs hundreds of times per search: reused buffers keep
     # each call from allocating fresh grid-sized arrays, whose cost depends
     # on the allocator's state
-    probs = np.empty((dim, grid.size))
-    log_ratio = np.empty((dim, grid.size))
+    probs = np.empty((rows, grid.size))
+    log_ratio = np.empty((rows, grid.size))
 
     def objective(x: np.ndarray):
         coeffs = x[:dim] + 1j * x[dim:]
         norm = np.linalg.norm(coeffs)
         unit = coeffs / norm
-        amps = _outcome_amplitudes(unit, stage)
+        amps = _outcome_amplitudes(unit, stage, rows)
         np.abs(amps, out=probs)
         np.square(probs, out=probs)
-        h = math.fsum(_information_terms(_clamp_probs(probs), grid.weight,
-                                         out=log_ratio)[0])
+        terms = _information_terms(_clamp_probs(probs), grid.weight, out=log_ratio)[0]
+        terms[:doubled] *= 2.0
+        h = math.fsum(terms)
+        log_ratio[:doubled] *= 2.0
         np.conjugate(amps, out=amps)
         np.multiply(amps, log_ratio, out=amps)
         grad = (2.0 * grid.weight / TWO_PI) * np.conjugate(

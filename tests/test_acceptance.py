@@ -72,15 +72,17 @@ def test_criterion_01_closed_form_equivalence():
 
 
 def test_criterion_02_completeness():
-    # sum_m P(m|phi) = 1 within 1e-12 for 100 random states per N
+    # sum_m P(m|phi) = 1 within 1e-12 for 100 random states per N, on an
+    # even grid (rows m > N/2 mirrored) and an odd one (all rows computed)
     rng = np.random.default_rng(20260810)
     worst = 0.0
     for n in range(1, N_MAX + 1):
         for _ in range(100):
             raw = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
             state = StateCoefficients(raw / np.linalg.norm(raw))
-            table = likelihood_table(state, grid_size=64)
-            worst = max(worst, float(np.abs(table.probs.sum(axis=0) - 1.0).max()))
+            for grid_size in (63, 64):
+                table = likelihood_table(state, grid_size=grid_size)
+                worst = max(worst, float(np.abs(table.probs.sum(axis=0) - 1.0).max()))
     _report("2", worst < 1e-12, f"max |sum_m P - 1| = {worst:.3e}")
     assert worst < 1e-12
 

@@ -452,9 +452,11 @@ def test_table_columns_sum_to_one():
 
 
 @pytest.mark.parametrize("n", [40, MAX_PHOTONS])
-def test_table_memory_is_about_two_grid_arrays(n):
-    # the stage and the amplitudes are the only complex (N+1) x grid arrays
-    # alive at once: the -pi column is multiplied into the stage in place
+def test_table_memory_is_about_one_and_a_half_grid_arrays(n):
+    # the complex (N+1) x grid stage and the amplitudes of the N/2 + 1 rows
+    # it computes on an even grid are alive at once, and then those
+    # amplitudes and the real table: the -pi column is multiplied into the
+    # stage in place, and the mirrored rows are copied, not computed
     grid_size = 8192
     state = _random_state(np.random.default_rng(41), n)
     likelihood_table(state, grid_size=2)  # builds K
@@ -465,7 +467,30 @@ def test_table_memory_is_about_two_grid_arrays(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * (n + 1) * grid_size * 16
+    assert peak <= 1.75 * (n + 1) * grid_size * 16
+
+
+@pytest.mark.parametrize("geometry", [DEFAULT_GEOMETRY,
+                                      InterferometerGeometry(0.3, -1.1)])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 40, MAX_PHOTONS])
+def test_table_rows_mirror_by_half_a_period(n, geometry):
+    # swapping the output ports is a phase shift of pi: on an even grid the
+    # table copies row N-m from row m rolled by M/2 points.  On every grid it
+    # agrees with the all-rows product to roundoff, and keeps its zeros
+    rng = np.random.default_rng(n)
+    states = [_random_state(rng, n)] + ([noon_state(n)] if n else [])
+    for grid_size in (2, 3, 7, 8, 257, 1000, 8192):
+        grid = PhaseGrid(grid_size)
+        stage = _grid_stage(n, grid, geometry)
+        for state in states:
+            probs = likelihood_table(state, geometry, grid_size).probs
+            if grid_size % 2 == 0:
+                for m in range(n + 1):
+                    assert (probs[n - m].tobytes()
+                            == np.roll(probs[m], grid_size // 2).tobytes())
+            full = np.abs(_outcome_amplitudes(state.coeffs, stage)) ** 2
+            np.testing.assert_allclose(probs, full, atol=1e-14, rtol=0)
+            assert not probs[~full.any(axis=1)].any()
 
 
 def test_table_grid_size_validation():

@@ -86,23 +86,44 @@ FD_STEP = 1e-5
 @pytest.mark.parametrize("n", [1, 5, 12])
 def test_gradient_matches_finite_differences(n, geometry):
     rng = np.random.default_rng(1000 + n)
-    objective = _negative_information(n, PhaseGrid(1024), geometry)
     dim = n + 1
-    for _ in range(3):
-        # unnormalized points: the gradient must carry the 1/|c| factor
-        x = rng.uniform(0.5, 3.0) * rng.standard_normal(2 * dim)
-        _, grad = objective(x)
-        finite = np.empty_like(x)
-        for i in range(x.size):
-            step = np.zeros_like(x)
-            step[i] = FD_STEP
-            finite[i] = (objective(x + step)[0] - objective(x - step)[0]) / (2 * FD_STEP)
-        assert np.linalg.norm(grad - finite) <= 1e-6 * np.linalg.norm(grad)
-        # H is flat along the scale direction c and the global phase i*c
-        phase_direction = np.concatenate([-x[dim:], x[:dim]])
-        for direction in (x, phase_direction):
-            cosine = grad @ direction / (np.linalg.norm(grad) * np.linalg.norm(direction))
-            assert abs(cosine) <= 1e-12
+    # the even grid computes the rows m <= N/2 and counts the mirrored
+    # ones twice; the odd grid computes all N+1 rows
+    for grid_size in (1024, 1023):
+        objective = _negative_information(n, PhaseGrid(grid_size), geometry)
+        for _ in range(3):
+            # unnormalized points: the gradient must carry the 1/|c| factor
+            x = rng.uniform(0.5, 3.0) * rng.standard_normal(2 * dim)
+            _, grad = objective(x)
+            finite = np.empty_like(x)
+            for i in range(x.size):
+                step = np.zeros_like(x)
+                step[i] = FD_STEP
+                finite[i] = ((objective(x + step)[0] - objective(x - step)[0])
+                             / (2 * FD_STEP))
+            assert np.linalg.norm(grad - finite) <= 1e-6 * np.linalg.norm(grad)
+            # H is flat along the scale direction c and the global phase i*c
+            phase_direction = np.concatenate([-x[dim:], x[:dim]])
+            for direction in (x, phase_direction):
+                cosine = grad @ direction / (np.linalg.norm(grad)
+                                             * np.linalg.norm(direction))
+                assert abs(cosine) <= 1e-12
+
+
+@pytest.mark.parametrize("geometry", [DEFAULT_GEOMETRY,
+                                      InterferometerGeometry(kl1=0.3, kl2=-1.1)])
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 40])
+def test_objective_is_the_tables_information(n, geometry):
+    # the objective counts each row m < N/2 for its mirror N-m on an even
+    # grid; its H must be the full table's, on an even and an odd grid
+    rng = np.random.default_rng(2000 + n)
+    x = rng.standard_normal(2 * (n + 1))
+    coeffs = x[:n + 1] + 1j * x[n + 1:]
+    state = StateCoefficients(coeffs / np.linalg.norm(coeffs))
+    for grid_size in (4096, 4095):
+        value, _ = _negative_information(n, PhaseGrid(grid_size), geometry)(x)
+        table = likelihood_table(state, geometry, grid_size)
+        assert -value == pytest.approx(mutual_information(table).h_bits, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +131,9 @@ def test_gradient_matches_finite_differences(n, geometry):
 # ---------------------------------------------------------------------------
 
 def test_objective_memory_is_linear_in_photon_number():
-    # the objective holds the (N+1) x grid phase stage and amplitudes, not
-    # an (N+1)^2 x grid tensor (105 MB at N = 40 on 4096 points)
+    # the objective holds the (N+1) x grid phase stage and the amplitudes of
+    # the N/2 + 1 rows it computes on an even grid, not an (N+1)^2 x grid
+    # tensor (105 MB at N = 40 on 4096 points)
     x = np.random.default_rng(40).standard_normal(82)
     tracemalloc.start()
     try:
@@ -122,7 +144,7 @@ def test_objective_memory_is_linear_in_photon_number():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 << 20
+    assert peak < 8 << 20
 
 
 def test_objective_invariant_under_global_phase():
