@@ -23,8 +23,8 @@ from .exceptions import ResourceLimitError, StationaryPointError
 from .grid import DEFAULT_GRID_SIZE
 from .optics import (DEFAULT_GEOMETRY, PROB_FLOOR, STATE_FAMILIES,
                      InterferometerGeometry, LikelihoodTable, StateCoefficients,
-                     likelihood_table, _check_phase, _clamp_probs, _outcome_amplitudes,
-                     _phase_factors)
+                     likelihood_table, _check_phase, _clamp_probs,
+                     _mirrors_by_half_period, _outcome_amplitudes, _phase_factors)
 
 TWO_PI = 2.0 * math.pi
 LOG2_E = 1.0 / math.log(2.0)
@@ -32,6 +32,10 @@ COLUMN_SUM_TOL = 1e-8
 SLOPE_TOL = 1e-12
 # count vectors of a compound table, over all outcomes
 MAX_COUNT_VECTORS = 1_000_000
+# count vectors times outcomes: enumerating them peaks at about 24 B a cell
+# (``_count_vectors`` holds three integer arrays of that shape), so 2^23
+# cells is about 200 MiB
+MAX_COUNT_CELLS = 1 << 23
 # cells (count vectors x grid points) in one block of the streamed compound
 # table: 1 MiB of float64, so a block and its temporaries stay in cache
 _COMPOUND_BLOCK_CELLS = 1 << 17
@@ -146,6 +150,20 @@ def _count_vectors(total: int, bins: int) -> np.ndarray:
     return np.diff(bars, axis=1, prepend=-1, append=total + bins - 1) - 1
 
 
+def _mirror_pairs(counts: np.ndarray):
+    """Rows of ``counts`` that are no greater, lexicographically, than
+    their reverse, and the multiplicity of each: 2 for a vector that
+    stands for itself and its reverse, 1 for a palindrome."""
+    # sign of v - reverse(v) at the first place they differ, 0 if nowhere
+    order = np.zeros(len(counts), dtype=np.int64)
+    bins = counts.shape[1]
+    for j in range(bins // 2):
+        np.copyto(order, np.sign(counts[:, j] - counts[:, bins - 1 - j]),
+                  where=order == 0)
+    keep = order <= 0
+    return counts[keep], np.where(order[keep] < 0, 2.0, 1.0)
+
+
 def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> FidelityReport:
     """Mutual information of ``repeats`` independent uses of the device.
 
@@ -158,13 +176,25 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
     Enumeration is exact.  A vector that counts an outcome with P = 0 at
     every phase has probability 0 everywhere and adds exactly 0 to H and
     to the column sums, so only vectors over the possible outcomes are
-    enumerated.  The compound table is streamed in blocks of about 1 MiB:
-    L = ln P from the counts (:meth:`LikelihoodTable.log_likelihood_blocks`)
-    and the multinomial coefficient, clipped to at most 0, and P = exp(L),
-    zeroed under ``PROB_FLOOR``.  Vector v adds the term (w/2pi) [log2(e)
+    enumerated.  If that table's rows, reversed, equal its rows rolled by
+    half a period entry for entry (:func:`optics._mirrors_by_half_period`,
+    true of every even-grid :func:`likelihood_table`, where
+    P(N-m|phi) = P(m|phi+pi)), the reverse of a vector v has likelihood
+    L_v(phi_k+M/2): the same term of H, and column sums half a period
+    apart.  Then only the lexicographically smaller vector of each pair is
+    evaluated, and every palindrome; its term counts with multiplicity
+    mu_v = 2 (pair) or 1 (palindrome), and the column sums are h + h rolled
+    by M/2, with h = sum_v (mu_v/2) P_v.  Otherwise (an odd grid, a table
+    built by hand that does not mirror) every vector has mu_v = 1.
+    The compound table is streamed in blocks of about 1 MiB: L = ln P from
+    the counts (:meth:`LikelihoodTable.log_likelihood_blocks`) and the
+    multinomial coefficient, clipped to at most 0, and P = exp(L), zeroed
+    under ``PROB_FLOOR``.  Vector v adds the term (mu_v w/2pi) [log2(e)
     sum_k P_vk L_vk + S_v log2(2pi / (w S_v))], S_v = sum_k P_vk (0 if
-    S_v = 0).  Memory is one block plus the count vectors; more than
-    ``MAX_COUNT_VECTORS`` vectors (over all outcomes) raise ResourceLimitError.
+    S_v = 0), and H is their ``math.fsum``.  Memory is one block plus the
+    count vectors; more than ``MAX_COUNT_VECTORS`` vectors, or more than
+    ``MAX_COUNT_CELLS`` vectors times outcomes (over all outcomes), raise
+    ResourceLimitError before anything is enumerated.
     """
     if int(repeats) != repeats or repeats < 1:
         raise ValueError(f"repeats must be a positive integer, got {repeats!r}")
@@ -174,6 +204,9 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
     if n_vectors > MAX_COUNT_VECTORS:
         raise ResourceLimitError(f"{n_vectors} compound count vectors exceed the "
                                  f"cap of {MAX_COUNT_VECTORS}")
+    if n_vectors * n_outcomes > MAX_COUNT_CELLS:
+        raise ResourceLimitError(f"{n_vectors} compound count vectors of {n_outcomes} "
+                                 f"outcomes exceed the cap of {MAX_COUNT_CELLS} cells")
 
     _check_columns(table.probs.sum(axis=0))  # also rejects all-zero tables
     possible = table.probs.any(axis=1)
@@ -181,6 +214,12 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
         table, probs=table.probs[possible],
         outcomes=[o for o, keep in zip(table.outcomes, possible) if keep])
     counts = _count_vectors(repeats, table.outcome_count)
+    mirrored = _mirrors_by_half_period(table.probs)
+    if mirrored:
+        counts, multiplicity = _mirror_pairs(counts)
+        column_weights = 0.5 * multiplicity
+    else:
+        multiplicity = column_weights = np.ones(len(counts))
     log_factorials = np.array([math.lgamma(k + 1) for k in range(repeats + 1)])
     log_coefficients = math.lgamma(repeats + 1) - log_factorials[counts].sum(axis=1)
     block = max(1, _COMPOUND_BLOCK_CELLS // table.grid.size)
@@ -195,13 +234,16 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
         np.clip(log_probs, _LOG_FLOOR, 0.0, out=log_probs)
         probs = np.exp(log_probs, out=buffer[:len(log_probs)])
         np.copyto(probs, 0.0, where=probs < PROB_FLOOR)
-        column_sums += probs.sum(axis=0)
+        column_sums += np.einsum("v,vk->k", column_weights[start:start + block], probs)
         mass = probs.sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):  # vectors with S_v = 0
             rows = (LOG2_E * np.einsum("vk,vk->v", probs, log_probs)
                     + mass * np.log2(TWO_PI / (table.grid.weight * mass)))
         terms[start:start + block] = np.where(mass > 0.0, rows, 0.0)
+    if mirrored:
+        column_sums += np.roll(column_sums, table.grid.size // 2)
     _check_columns(column_sums)
+    terms *= multiplicity
     terms *= table.grid.weight / TWO_PI
     return FidelityReport(h_bits=max(math.fsum(terms), 0.0),
                           state_label=f"{table.state_label} x{repeats}",

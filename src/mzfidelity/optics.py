@@ -28,7 +28,11 @@ Swapping the output ports is a phase shift of pi: K[N-m] = s K[m] and
 s_n E[n](phi) = E[n](phi + pi), so P(N-m | phi) = P(m | phi + pi) for every
 input state and geometry.  On a grid of even size M, phi_k + pi is the grid
 point k + M/2, so only the rows m <= N/2 are computed
-(:func:`_distinct_rows`) and row N-m is row m rolled by half a period.
+(:func:`_distinct_rows`) and row N-m is row m rolled by half a period.  The
+compound information of repeated uses is the rule's second user: when a
+table's rows mirror that way (:func:`_mirrors_by_half_period`), a count
+vector and its reverse have the same likelihood half a period apart, so
+only one of each such pair is evaluated.
 """
 
 import math
@@ -290,6 +294,20 @@ def _distinct_rows(n_total: int, grid_size: int) -> int:
     row N-m is row m shifted by pi, that is by M/2 points; all N+1 on an
     odd grid, where phi + pi is not a grid point."""
     return n_total // 2 + 1 if grid_size % 2 == 0 else n_total + 1
+
+
+def _mirrors_by_half_period(probs: np.ndarray) -> bool:
+    """Whether the rows of ``probs`` in reverse order equal its rows rolled
+    by half a period, entry for entry: true of every grid table on an even
+    grid, whose row N-m is row m shifted by pi (the middle row of an even N
+    too, since only its even-n stage rows, equal at phi and phi + pi, enter
+    it).  On an odd grid phi + pi is not a grid point, so this is False."""
+    size = probs.shape[1]
+    if size % 2:
+        return False
+    half, mirrored = size // 2, probs[::-1]
+    return bool(np.array_equal(mirrored[:, :half], probs[:, half:])
+                and np.array_equal(mirrored[:, half:], probs[:, :half]))
 
 
 def _outcome_amplitudes(coeffs: np.ndarray, stage: np.ndarray,

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import mzfidelity
-from mzfidelity import (Outcome, PhaseGrid, ResourceLimitError,
-                        StateCoefficients, StationaryPointError,
+from mzfidelity import (InterferometerGeometry, Outcome, PhaseGrid,
+                        ResourceLimitError, StateCoefficients, StationaryPointError,
                         error_propagation_sensitivity, fidelity_sweep,
                         fock_state, heisenberg_limit, likelihood_table,
                         mutual_information, noon_state,
@@ -374,6 +374,56 @@ def test_repeats_with_isolated_zero_cells(monkeypatch):
     np.testing.assert_allclose(column_sums[1], 1.0, rtol=0.0, atol=1e-13)
 
 
+def _random_state(rng, n):
+    coeffs = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    return StateCoefficients(coeffs / np.linalg.norm(coeffs))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_repeats_evaluate_one_vector_per_mirror_pair(monkeypatch, n):
+    # on an even grid a count vector and its reverse have the same
+    # likelihood half a period apart, so one of them is evaluated; on an odd
+    # grid every vector is
+    evaluated = []
+    blocks = LikelihoodTable.log_likelihood_blocks
+
+    def counting_blocks(self, count_blocks):
+        for counts in count_blocks:
+            evaluated.append(len(counts))
+            yield from blocks(self, [counts])
+
+    monkeypatch.setattr(LikelihoodTable, "log_likelihood_blocks", counting_blocks)
+    repeats = 6
+    vectors = math.comb(repeats + n, n)
+    palindromes = sum(1 for counts in _lexicographic_count_vectors(repeats, n + 1)
+                      if counts == counts[::-1])
+    state = _random_state(np.random.default_rng(n), n)
+    for grid_size, expected in ((64, (vectors + palindromes) // 2), (63, vectors)):
+        evaluated.clear()
+        report = repeated_mutual_information(likelihood_table(state, grid_size=grid_size),
+                                             repeats)
+        assert sum(evaluated) == expected
+        assert report.outcome_count == vectors
+
+
+def test_repeats_on_both_paths_match_long_double_reference():
+    geometry = InterferometerGeometry(0.3, -1.1)
+    state = _random_state(np.random.default_rng(5), 3)
+    for grid_size in (64, 63):
+        table = likelihood_table(state, geometry, grid_size)
+        h = repeated_mutual_information(table, 6).h_bits
+        assert h == pytest.approx(_long_double_compound_h(table.probs, 6), abs=1e-13)
+    # an even grid whose rows mirror by half a period except in a few
+    # columns: the pairing must follow the table, not the grid's parity
+    rng = np.random.default_rng(17)
+    first = rng.uniform(0.1, 0.4, size=64)
+    last = np.roll(first, 32)
+    last[[5, 40, 41]] *= 1.2
+    rows = np.array([first, 1.0 - first - last, last])
+    h = repeated_mutual_information(_table_from_rows(rows), 6).h_bits
+    assert h == pytest.approx(_long_double_compound_h(rows, 6), abs=1e-13)
+
+
 def test_repeats_resource_cap(monkeypatch):
     table = likelihood_table(fock_state(4), grid_size=32)
     with monkeypatch.context() as patch, pytest.raises(ResourceLimitError):
@@ -393,6 +443,21 @@ def test_repeats_resource_cap(monkeypatch):
     assert peak < 32 << 20
     assert report.outcome_count == 46376
     assert mutual_information(table).h_bits < report.h_bits < math.log2(46376)
+
+
+def test_repeats_cap_count_cells_before_enumerating():
+    # 988,260 vectors is under the vector cap, but enumerating them over 180
+    # outcomes would take about 4 GiB
+    table = likelihood_table(fock_state(179), grid_size=64)
+    assert math.comb(182, 3) <= fidelity.MAX_COUNT_VECTORS
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="cells"):
+            repeated_mutual_information(table, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from mzfidelity import (DEFAULT_GEOMETRY, InterferometerGeometry, Outcome,
                         likelihood_table, noon_outcome_prob, noon_state,
                         outcome_distribution, optics)
 from mzfidelity.cli import MAX_PHOTONS
-from mzfidelity.optics import (_beam_splitter, _grid_stage, _outcome_amplitudes,
-                               _outcome_amplitudes_transpose, _phase_factors,
-                               _roots_of_unity, _sqrt_ratio)
+from mzfidelity.optics import (_beam_splitter, _grid_stage, _mirrors_by_half_period,
+                               _outcome_amplitudes, _outcome_amplitudes_transpose,
+                               _phase_factors, _roots_of_unity, _sqrt_ratio)
 from oracle import build_scattering_matrix, partition_weight, transition_amplitude
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -484,6 +484,7 @@ def test_table_rows_mirror_by_half_a_period(n, geometry):
         stage = _grid_stage(n, grid, geometry)
         for state in states:
             probs = likelihood_table(state, geometry, grid_size).probs
+            assert _mirrors_by_half_period(probs) == (grid_size % 2 == 0)
             if grid_size % 2 == 0:
                 for m in range(n + 1):
                     assert (probs[n - m].tobytes()
