@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import ResourceLimitError, StationaryPointError
-from .grid import DEFAULT_GRID_SIZE
+from .grid import DEFAULT_GRID_SIZE, PhaseGrid
 from .optics import (DEFAULT_GEOMETRY, PROB_FLOOR, STATE_FAMILIES,
                      InterferometerGeometry, LikelihoodTable, StateCoefficients,
                      likelihood_table, _check_phase, _clamp_probs,
@@ -42,6 +42,14 @@ _COMPOUND_BLOCK_CELLS = 1 << 17
 # exp of a log below this is a normal float under PROB_FLOOR, zeroed anyway;
 # raising lower logs (-inf too) to it skips exp's slow underflow and 0 * -inf
 _LOG_FLOOR = math.log(PROB_FLOOR) - 1.0
+# harmonics above degree N of a table's rows, relative to the grid size,
+# below which the rows count as band-limited: roundoff leaves under 1e-16
+# on every likelihood_table (N <= 200), a random table built by hand ~1e-2
+_BAND_TOL = 1e-14
+# stands for ln 0 in a binomial ln pmf_j = j ln p + (R - j) ln q + ln C(R, j):
+# finite, so 0 times it is 0, and any count from 1 to 1e8 times it is far
+# below -745, so exp gives the exact pmf of p = 0 or p = 1
+_LOG_ZERO = -1e300
 
 
 @dataclass(eq=False)
@@ -164,6 +172,105 @@ def _mirror_pairs(counts: np.ndarray):
     return counts[keep], np.where(order[keep] < 0, 2.0, 1.0)
 
 
+def _exact_subgrid(table: LikelihoodTable, degree: int) -> int:
+    """Size M' of the subgrid (every (M/M')-th column) on which the
+    trapezoid rule sums a compound likelihood, a product of R table rows,
+    to what the full grid of M points gives.
+
+    If the rows are trigonometric polynomials of degree N, the product is
+    one of degree ``degree`` = N R, summed exactly on any M' > N R points.
+    M' is the smallest divisor of M above ``degree``, even on an even grid
+    (so a half period is M'/2 columns), if the table's rows are
+    band-limited to degree N: every harmonic above N of every row under
+    ``_BAND_TOL`` times M.  Otherwise, or with no such divisor, it is M.
+    """
+    size = table.grid.size
+    divisors = {d for i in range(1, math.isqrt(size) + 1) if size % i == 0
+                for d in (i, size // i)}
+    subgrid = min((d for d in divisors if d > degree and d % 2 == size % 2),
+                  default=size)
+    if subgrid < size:  # so N < M/2, and harmonic N + 1 exists
+        harmonics = np.fft.rfft(table.probs, axis=1)[:, table.n_total + 1:]
+        if not np.abs(harmonics).max() <= _BAND_TOL * size:
+            return size
+    return subgrid
+
+
+def _log_factorials(total: int) -> np.ndarray:
+    """ln k! for k = 0..``total`` in ``np.longdouble``, as running sums of
+    ln k: within 5e-15 nats of the exact value for k <= 1200, where a
+    double's last place is 9e-13."""
+    logs = np.log(np.arange(1, total + 1, dtype=np.longdouble))
+    return np.concatenate([np.zeros(1, dtype=np.longdouble), np.cumsum(logs)])
+
+
+def _stream_compound(table: LikelihoodTable, repeats: int, counts: np.ndarray,
+                     column_weights: np.ndarray):
+    """Stream the compound table P_v(phi_k) of the rows of ``counts`` in
+    blocks of about 1 MiB and reduce it: the masses S_v = sum_k P_vk, the
+    sums sum_k P_vk ln P_vk, and the column sums sum_v weight_v P_vk."""
+    # rounded to double once, not term by term: ln R! alone, rounded, would
+    # scale every P_v alike (2.5e-13 nats at R = 1200)
+    log_factorials = _log_factorials(repeats)
+    log_coefficients = (log_factorials[-1] - log_factorials[counts].sum(axis=1)).astype(float)
+    block = max(1, _COMPOUND_BLOCK_CELLS // table.grid.size)
+    starts = range(0, len(counts), block)
+    column_sums = np.zeros(table.grid.size)
+    mass, p_log_p = np.empty(len(counts)), np.empty(len(counts))
+    buffer = np.empty((min(block, len(counts)), table.grid.size))
+    log_blocks = table.log_likelihood_blocks(counts[start:start + block]
+                                             for start in starts)
+    for start, log_probs in zip(starts, log_blocks):
+        log_probs += log_coefficients[start:start + block, None]
+        np.clip(log_probs, _LOG_FLOOR, 0.0, out=log_probs)
+        probs = np.exp(log_probs, out=buffer[:len(log_probs)])
+        np.copyto(probs, 0.0, where=probs < PROB_FLOOR)
+        column_sums += np.einsum("v,vk->k", column_weights[start:start + block], probs)
+        mass[start:start + block] = probs.sum(axis=1)
+        p_log_p[start:start + block] = np.einsum("vk,vk->v", probs, log_probs)
+    return mass, p_log_p, column_sums
+
+
+def _mean_compound_p_log_p(probs: np.ndarray, repeats: int, mirrored: bool) -> float:
+    """Mean over the grid of sum_v P_v ln P_v, the compound likelihoods of
+    ``repeats`` uses, from the binomial marginals of the multinomial.
+
+    With p = P(.|phi_k) normalised by its column sum s and M_m ~
+    Binomial(R, p_m), sum_v P~_v ln P~_v = ln R! + R sum_m p_m ln p_m -
+    sum_m E[ln M_m!], and sum_v P_v ln P_v = s^R (that + R ln s), since
+    P_v = s^R P~_v.  Each binomial pmf is exp of its log and is divided by
+    its own sum.  ln R! and the sums over columns are in ``np.longdouble``
+    (in double they move H by 1.7e-14 bits on fock 2 x 50, 2.4e-13 on
+    fock 2 x 600).  If the rows mirror by half a period, columns k and
+    k + M/2 give the same value and only the first half is evaluated.
+    """
+    columns = probs[:, :probs.shape[1] // 2] if mirrored else probs
+    draws = np.arange(repeats + 1, dtype=np.float64)
+    log_factorials = _log_factorials(repeats)
+    weights = log_factorials.astype(np.float64)  # ln j! in E[ln M!]
+    log_binomials = (log_factorials[-1] - log_factorials - log_factorials[::-1]).astype(np.float64)
+    block = max(1, _COMPOUND_BLOCK_CELLS // (len(probs) * (repeats + 1)))
+    total = np.longdouble(0.0)
+    for start in range(0, columns.shape[1], block):
+        column = columns[:, start:start + block]
+        sums = column.sum(axis=0)
+        p = column / sums
+        with np.errstate(divide="ignore"):  # p = 0 or p = 1
+            # a finite floor for log 0, so that 0 log 0 = 0 below
+            log_p = np.maximum(np.log(p), _LOG_ZERO)
+            log_q = np.maximum(np.log1p(-p), _LOG_ZERO)
+        # ln pmf_j = j (ln p - ln q) + R ln q + ln C(R, j), with j last
+        pmf = np.multiply.outer(log_p - log_q, draws)
+        pmf += repeats * log_q[..., None]
+        pmf += log_binomials
+        np.exp(pmf, out=pmf)
+        expected = np.einsum("mkj,j->mk", pmf, weights) / pmf.sum(axis=2)
+        p_log_p = np.einsum("mk,mk->k", p, np.where(p > 0.0, log_p, 0.0))
+        terms = log_factorials[-1] + repeats * p_log_p - expected.sum(axis=0)
+        total += np.sum(sums ** repeats * (terms + repeats * np.log(sums)))
+    return float(total / columns.shape[1])
+
+
 def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> FidelityReport:
     """Mutual information of ``repeats`` independent uses of the device.
 
@@ -176,23 +283,38 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
     Enumeration is exact.  A vector that counts an outcome with P = 0 at
     every phase has probability 0 everywhere and adds exactly 0 to H and
     to the column sums, so only vectors over the possible outcomes are
-    enumerated.  If that table's rows, reversed, equal its rows rolled by
-    half a period entry for entry (:func:`optics._mirrors_by_half_period`,
-    true of every even-grid :func:`likelihood_table`, where
-    P(N-m|phi) = P(m|phi+pi)), the reverse of a vector v has likelihood
-    L_v(phi_k+M/2): the same term of H, and column sums half a period
-    apart.  Then only the lexicographically smaller vector of each pair is
-    evaluated, and every palindrome; its term counts with multiplicity
-    mu_v = 2 (pair) or 1 (palindrome), and the column sums are h + h rolled
-    by M/2, with h = sum_v (mu_v/2) P_v.  Otherwise (an odd grid, a table
-    built by hand that does not mirror) every vector has mu_v = 1.
-    The compound table is streamed in blocks of about 1 MiB: L = ln P from
-    the counts (:meth:`LikelihoodTable.log_likelihood_blocks`) and the
-    multinomial coefficient, clipped to at most 0, and P = exp(L), zeroed
-    under ``PROB_FLOOR``.  Vector v adds the term (mu_v w/2pi) [log2(e)
-    sum_k P_vk L_vk + S_v log2(2pi / (w S_v))], S_v = sum_k P_vk (0 if
-    S_v = 0), and H is their ``math.fsum``.  Memory is one block plus the
-    count vectors; more than ``MAX_COUNT_VECTORS`` vectors, or more than
+    enumerated.  With at most two possible outcomes the compound
+    distribution is itself binomial, and vector v adds the term
+    (mu_v w/2pi) [log2(e) sum_k P_vk L_vk + S_v log2(2pi / (w S_v))],
+    S_v = sum_k P_vk (0 if S_v = 0), summed on the full grid.  With three
+    or more, H = H(V) - H(V|phi), split exactly:
+
+    * H(V) = -sum_v mu_v Q_v log2 Q_v, Q_v = S_v / M', on a subgrid of M'
+      of the M points (:func:`_exact_subgrid`).  P_v is a trigonometric
+      polynomial of degree N R if the table's rows are band-limited to
+      degree N, and then the trapezoid rule on any M' > N R points gives
+      the same Q_v as the full grid, up to roundoff.
+    * H(V|phi) = -(1/M) sum_k sum_v P_v ln P_v / ln 2, from the binomial
+      marginals at each grid point, with no count vector at all
+      (:func:`_mean_compound_p_log_p`).
+
+    H is the ``math.fsum`` of the terms.  The count vectors: if the
+    table's rows, reversed, equal its rows rolled by half a period entry
+    for entry (:func:`optics._mirrors_by_half_period`, true of every
+    even-grid :func:`likelihood_table`, where P(N-m|phi) = P(m|phi+pi)),
+    the reverse of a vector v has likelihood L_v(phi_k+M/2): the same
+    mass and term, and column sums half a period apart.  Then only the
+    lexicographically smaller vector of each pair is evaluated, and every
+    palindrome; it counts with multiplicity mu_v = 2 (pair) or 1
+    (palindrome), and the column sums are h + h rolled by M/2 (M'/2 on a
+    subgrid, which is even), with h = sum_v (mu_v/2) P_v.  Otherwise (an
+    odd grid, a table built by hand that does not mirror) every vector has
+    mu_v = 1.  The compound table is streamed in blocks of about 1 MiB:
+    L = ln P from the counts (:meth:`LikelihoodTable.log_likelihood_blocks`)
+    and the multinomial coefficient (from ln k! summed in long double,
+    rounded to double once), clipped to at most 0, and P = exp(L), zeroed
+    under ``PROB_FLOOR``.  Memory is one block plus the count
+    vectors; more than ``MAX_COUNT_VECTORS`` vectors, or more than
     ``MAX_COUNT_CELLS`` vectors times outcomes (over all outcomes), raise
     ResourceLimitError before anything is enumerated.
     """
@@ -213,6 +335,11 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
     table = replace(
         table, probs=table.probs[possible],
         outcomes=[o for o, keep in zip(table.outcomes, possible) if keep])
+    binomial = table.outcome_count <= 2
+    subgrid = table.grid.size if binomial else _exact_subgrid(table, table.n_total * repeats)
+    stride = table.grid.size // subgrid
+    compound = replace(table, grid=PhaseGrid(subgrid),
+                       probs=np.ascontiguousarray(table.probs[:, stride - 1::stride]))
     counts = _count_vectors(repeats, table.outcome_count)
     mirrored = _mirrors_by_half_period(table.probs)
     if mirrored:
@@ -220,31 +347,22 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
         column_weights = 0.5 * multiplicity
     else:
         multiplicity = column_weights = np.ones(len(counts))
-    log_factorials = np.array([math.lgamma(k + 1) for k in range(repeats + 1)])
-    log_coefficients = math.lgamma(repeats + 1) - log_factorials[counts].sum(axis=1)
-    block = max(1, _COMPOUND_BLOCK_CELLS // table.grid.size)
-    starts = range(0, len(counts), block)
-    column_sums = np.zeros(table.grid.size)
-    terms = np.empty(len(counts))
-    buffer = np.empty((min(block, len(counts)), table.grid.size))
-    log_blocks = table.log_likelihood_blocks(counts[start:start + block]
-                                             for start in starts)
-    for start, log_probs in zip(starts, log_blocks):
-        log_probs += log_coefficients[start:start + block, None]
-        np.clip(log_probs, _LOG_FLOOR, 0.0, out=log_probs)
-        probs = np.exp(log_probs, out=buffer[:len(log_probs)])
-        np.copyto(probs, 0.0, where=probs < PROB_FLOOR)
-        column_sums += np.einsum("v,vk->k", column_weights[start:start + block], probs)
-        mass = probs.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):  # vectors with S_v = 0
-            rows = (LOG2_E * np.einsum("vk,vk->v", probs, log_probs)
-                    + mass * np.log2(TWO_PI / (table.grid.weight * mass)))
-        terms[start:start + block] = np.where(mass > 0.0, rows, 0.0)
+    mass, p_log_p, column_sums = _stream_compound(compound, repeats, counts, column_weights)
     if mirrored:
-        column_sums += np.roll(column_sums, table.grid.size // 2)
+        column_sums += np.roll(column_sums, subgrid // 2)
     _check_columns(column_sums)
-    terms *= multiplicity
-    terms *= table.grid.weight / TWO_PI
+    if binomial:
+        with np.errstate(divide="ignore", invalid="ignore"):  # vectors with S_v = 0
+            terms = np.where(mass > 0.0, LOG2_E * p_log_p
+                             + mass * np.log2(TWO_PI / (table.grid.weight * mass)), 0.0)
+        terms *= multiplicity
+        terms *= table.grid.weight / TWO_PI
+    else:
+        mass /= subgrid
+        with np.errstate(divide="ignore", invalid="ignore"):  # vectors with Q_v = 0
+            terms = np.where(mass > 0.0, -multiplicity * mass * np.log2(mass), 0.0)
+        terms = np.append(terms, LOG2_E * _mean_compound_p_log_p(table.probs, repeats,
+                                                                 mirrored))
     return FidelityReport(h_bits=max(math.fsum(terms), 0.0),
                           state_label=f"{table.state_label} x{repeats}",
                           n_photons=table.n_total * repeats,

@@ -61,19 +61,25 @@ def _long_double_compound_h(probs, repeats, log_cutoff=-60.0):
     """Compound MI of ``repeats`` uses of a table, in np.longdouble.
 
     A cell with P < e^-60 changes H by less than P (|log2 P| + log2 M) / M,
-    so the cells left out move it by under 1e-20 bits here.
+    so the cells left out move it by under 1e-20 bits here.  ln k! is a
+    running sum of long-double logs, within 5e-15 nats of the exact value
+    for k <= 1200.  Rounded to double it would not do: ln 1200! is then
+    2.5e-13 nats low, which scales every compound likelihood alike and
+    moves H by 1.1e-12 bits at R = 1200.
     """
     n_outcomes, size = probs.shape
+    log_factorials = np.cumsum(np.log(np.arange(1, repeats + 1, dtype=np.longdouble)))
+    log_factorials = np.concatenate([np.zeros(1, dtype=np.longdouble), log_factorials])
     log_probs = np.log(np.maximum(probs, 1e-300))
     long_log_probs = np.log(np.maximum(probs, 1e-300).astype(np.longdouble))
     total = np.longdouble(0.0)
     for counts in _lexicographic_count_vectors(repeats, n_outcomes):
-        log_coeff = math.lgamma(repeats + 1) - sum(math.lgamma(k + 1) for k in counts)
-        keep = np.flatnonzero(np.dot(counts, log_probs) + log_coeff > log_cutoff)
+        log_coeff = log_factorials[repeats] - sum(log_factorials[k] for k in counts)
+        keep = np.flatnonzero(np.dot(counts, log_probs) + float(log_coeff) > log_cutoff)
         if keep.size == 0:
             continue
-        log_l = np.longdouble(log_coeff) + sum(k * long_log_probs[m, keep]
-                                               for m, k in enumerate(counts) if k)
+        log_l = log_coeff + sum(k * long_log_probs[m, keep]
+                                for m, k in enumerate(counts) if k)
         p = np.exp(log_l)
         mass = p.sum()  # I_v M / 2pi
         p_log2_p = (p * log_l).sum() / np.log(np.longdouble(2))
@@ -128,8 +134,9 @@ def test_information_does_not_depend_on_thread_count():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("from mzfidelity import *; "
             "single = mutual_information(likelihood_table(fock_state(25))); "
-            "compound = repeated_mutual_information(likelihood_table(fock_state(1)), 1200); "
-            "print(repr(single.h_bits), repr(compound.h_bits))")
+            "binomial = repeated_mutual_information(likelihood_table(fock_state(1)), 1200); "
+            "split = repeated_mutual_information(likelihood_table(fock_state(3)), 20); "
+            "print(repr(single.h_bits), repr(binomial.h_bits), repr(split.h_bits))")
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
@@ -314,7 +321,7 @@ def test_compound_distribution_matches_multinomial_oracle():
     np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n,repeats", [(1, 60), (2, 30), (3, 20), (6, 10)])
+@pytest.mark.parametrize("n,repeats", [(1, 60), (2, 30), (3, 20), (6, 10), (3, 80)])
 def test_repeated_fock_carries_what_the_total_count_does(n, repeats):
     # the total n_c of R uses of |N,0> is sufficient for phi and is
     # distributed as one use of |NR,0>
@@ -350,15 +357,21 @@ def test_repeats_skip_impossible_outcomes(n, repeats, holevo_bits):
         repeated_mutual_information(_table_from_rows(np.zeros((2, 8))), repeats)
 
 
-def test_repeats_with_isolated_zero_cells(monkeypatch):
-    # rows that vanish at a few phases only: a vector counting one of them
-    # has L = -inf there, which the clip raises to the floor and the floor
-    # turns back into an exact 0
+def _rows_with_isolated_zeros():
+    # three random rows on 64 points, not band-limited, that vanish at a
+    # few phases only
     rng = np.random.default_rng(13)
     rows = rng.uniform(0.1, 1.0, size=(3, 64))
     rows[0, [3, 17]] = 0.0
     rows[2, [17, 40]] = 0.0
-    rows /= rows.sum(axis=0)
+    return rows / rows.sum(axis=0)
+
+
+def test_repeats_with_isolated_zero_cells(monkeypatch):
+    # a vector counting a row that vanishes at a few phases has L = -inf
+    # there, which the clip raises to the floor and the floor turns back
+    # into an exact 0
+    rows = _rows_with_isolated_zeros()
     column_sums = []
     check = fidelity._check_columns
 
@@ -383,13 +396,15 @@ def _random_state(rng, n):
 def test_repeats_evaluate_one_vector_per_mirror_pair(monkeypatch, n):
     # on an even grid a count vector and its reverse have the same
     # likelihood half a period apart, so one of them is evaluated; on an odd
-    # grid every vector is
+    # grid every vector is.  Each is evaluated on the smallest divisor of
+    # the grid size above N R (even on an even grid), since the rows of a
+    # likelihood_table are band-limited to degree N
     evaluated = []
     blocks = LikelihoodTable.log_likelihood_blocks
 
     def counting_blocks(self, count_blocks):
         for counts in count_blocks:
-            evaluated.append(len(counts))
+            evaluated.append((len(counts), self.probs.shape[1]))
             yield from blocks(self, [counts])
 
     monkeypatch.setattr(LikelihoodTable, "log_likelihood_blocks", counting_blocks)
@@ -398,18 +413,29 @@ def test_repeats_evaluate_one_vector_per_mirror_pair(monkeypatch, n):
     palindromes = sum(1 for counts in _lexicographic_count_vectors(repeats, n + 1)
                       if counts == counts[::-1])
     state = _random_state(np.random.default_rng(n), n)
-    for grid_size, expected in ((64, (vectors + palindromes) // 2), (63, vectors)):
+    subgrid = {2: 16, 3: 32}[n]
+    for grid_size, expected, columns in ((64, (vectors + palindromes) // 2, subgrid),
+                                         (63, vectors, 21)):
         evaluated.clear()
         report = repeated_mutual_information(likelihood_table(state, grid_size=grid_size),
                                              repeats)
-        assert sum(evaluated) == expected
+        assert sum(count for count, _ in evaluated) == expected
+        assert {width for _, width in evaluated} == {columns}
         assert report.outcome_count == vectors
+    # rows built by hand are not band-limited, so every column is needed
+    evaluated.clear()
+    repeated_mutual_information(_table_from_rows(_rows_with_isolated_zeros(), n_total=2),
+                                repeats)
+    assert sum(count for count, _ in evaluated) == math.comb(repeats + 2, 2)
+    assert {width for _, width in evaluated} == {64}
 
 
 def test_repeats_on_both_paths_match_long_double_reference():
     geometry = InterferometerGeometry(0.3, -1.1)
     state = _random_state(np.random.default_rng(5), 3)
-    for grid_size in (64, 63):
+    # 54 points: the smallest divisor above N R = 18 is 27, but a half
+    # period is no whole number of its columns, so all 54 are needed
+    for grid_size in (64, 63, 54):
         table = likelihood_table(state, geometry, grid_size)
         h = repeated_mutual_information(table, 6).h_bits
         assert h == pytest.approx(_long_double_compound_h(table.probs, 6), abs=1e-13)
