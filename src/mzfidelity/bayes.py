@@ -16,7 +16,7 @@ from .exceptions import (ResourceLimitError, UndefinedCircularMeanError,
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, LikelihoodTable,
                      Outcome, StateCoefficients, likelihood_table,
-                     outcome_distribution, _check_phase)
+                     outcome_distribution, _check_phase, _is_integer, _LOG_ZERO)
 
 # relative height below which a strict local maximum is discarded as
 # quadrature ripple; genuine secondary modes in scope sit above 1e-4
@@ -156,7 +156,7 @@ def circular_summary(posterior: PhasePosterior):
 def _posterior_from_log(log_likelihood: np.ndarray, grid: PhaseGrid,
                         outcome: Outcome) -> PhasePosterior:
     peak = log_likelihood.max()
-    if not np.isfinite(peak):
+    if not peak > _LOG_ZERO:  # every cell counts an outcome with P = 0
         raise ZeroProbabilityOutcomeError(
             "recorded outcomes have zero joint probability on the whole grid")
     density = np.exp(log_likelihood - peak)
@@ -174,8 +174,9 @@ def simulate_sequence(state: StateCoefficients,
 
     Outcomes are sampled from P(m | true_phase) with a seeded generator,
     so a fixed seed reproduces the record bit-for-bit.  Each posterior is
-    exp(sum_m M_m log P(m|phi)) over the outcome counts M_m of its shots
-    (:meth:`LikelihoodTable.log_likelihood`), normalized.  By default only
+    exp(sum_m M_m ln P(m|phi)) over the outcome counts M_m of its shots
+    (:meth:`LikelihoodTable.log_likelihood`, which makes it exactly 0 where
+    a counted outcome has P = 0), normalized.  By default only
     the final posterior is returned; ``keep_history=True`` keeps one per
     shot prefix, and raises :class:`ResourceLimitError` up front if that
     history would hold more than ``MAX_HISTORY_BYTES``.
@@ -186,7 +187,7 @@ def simulate_sequence(state: StateCoefficients,
         ``record`` holds the drawn outcomes, ``posteriors`` the posterior
         sequence (length ``shots`` with history, else 1).
     """
-    if int(shots) != shots or shots < 1:
+    if not _is_integer(shots) or shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots!r}")
     shots = int(shots)
     history_bytes = 16 * shots * (state.n + 1 + int(grid_size))

@@ -15,41 +15,35 @@ scalings.
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ResourceLimitError, StationaryPointError
-from .grid import DEFAULT_GRID_SIZE, PhaseGrid
+from .grid import DEFAULT_GRID_SIZE
 from .optics import (DEFAULT_GEOMETRY, PROB_FLOOR, STATE_FAMILIES,
                      InterferometerGeometry, LikelihoodTable, StateCoefficients,
-                     likelihood_table, _check_phase, _clamp_probs,
-                     _mirrors_by_half_period, _outcome_amplitudes, _phase_factors)
+                     likelihood_table, _check_phase, _clamp_probs, _is_integer,
+                     _log_probs, _mirrors_by_half_period, _outcome_amplitudes,
+                     _phase_factors, _LOG_ZERO)
 
 TWO_PI = 2.0 * math.pi
 LOG2_E = 1.0 / math.log(2.0)
 COLUMN_SUM_TOL = 1e-8
 SLOPE_TOL = 1e-12
-# count vectors of a compound table, over all outcomes
+# count vectors of a compound table, over all outcomes: a time cap, since
+# they are enumerated a block at a time
 MAX_COUNT_VECTORS = 1_000_000
-# count vectors times outcomes: enumerating them peaks at about 24 B a cell
-# (``_count_vectors`` holds three integer arrays of that shape), so 2^23
-# cells is about 200 MiB
-MAX_COUNT_CELLS = 1 << 23
 # cells (count vectors x grid points) in one block of the streamed compound
 # table: 1 MiB of float64, so a block and its temporaries stay in cache
 _COMPOUND_BLOCK_CELLS = 1 << 17
 # exp of a log below this is a normal float under PROB_FLOOR, zeroed anyway;
-# raising lower logs (-inf too) to it skips exp's slow underflow and 0 * -inf
+# raising lower logs (_LOG_ZERO too) to it skips exp's slow underflow
 _LOG_FLOOR = math.log(PROB_FLOOR) - 1.0
 # harmonics above degree N of a table's rows, relative to the grid size,
 # below which the rows count as band-limited: roundoff leaves under 1e-16
 # on every likelihood_table (N <= 200), a random table built by hand ~1e-2
 _BAND_TOL = 1e-14
-# stands for ln 0 in a binomial ln pmf_j = j ln p + (R - j) ln q + ln C(R, j):
-# finite, so 0 times it is 0, and any count from 1 to 1e8 times it is far
-# below -745, so exp gives the exact pmf of p = 0 or p = 1
-_LOG_ZERO = -1e300
 
 
 @dataclass(eq=False)
@@ -137,7 +131,7 @@ def fidelity_sweep(state_family, n_max: int = None,
         except KeyError:
             raise ValueError(f"unknown state family {state_family!r}; "
                              "expected 'fock' or 'noon'") from None
-        if n_max is None or int(n_max) != n_max or n_max < 1:
+        if n_max is None or not _is_integer(n_max) or n_max < 1:
             raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
         states = [builder(n) for n in range(1, int(n_max) + 1)]
     else:
@@ -148,14 +142,21 @@ def fidelity_sweep(state_family, n_max: int = None,
             for state in states]
 
 
-def _count_vectors(total: int, bins: int) -> np.ndarray:
-    """All length-``bins`` rows of non-negative ints summing to ``total``, in
-    lexicographic order: the gaps between ``bins - 1`` bars placed, in
-    lexicographic order, among ``total + bins - 1`` slots."""
-    places = itertools.combinations(range(total + bins - 1), bins - 1)
-    bars = np.fromiter(itertools.chain.from_iterable(places), dtype=np.int64)
-    bars = bars.reshape(math.comb(total + bins - 1, bins - 1), bins - 1)
-    return np.diff(bars, axis=1, prepend=-1, append=total + bins - 1) - 1
+def _count_vectors(total: int, bins: int, block: int):
+    """Yield all length-``bins`` rows of non-negative ints summing to
+    ``total``, in lexicographic order, ``block`` rows at a time as int32:
+    the gaps between ``bins - 1`` bars placed, in lexicographic order,
+    among ``total + bins - 1`` slots, and bars before and after them."""
+    slots = total + bins - 1
+    places = itertools.combinations(range(slots), bins - 1)
+    vectors = math.comb(slots, bins - 1)
+    for start in range(0, vectors, block):
+        rows = min(block, vectors - start)
+        bars = np.full((rows, bins + 1), slots, dtype=np.int32)
+        bars[:, 0] = -1
+        bars[:, 1:-1] = np.fromiter(itertools.chain.from_iterable(itertools.islice(places, rows)),
+                                    dtype=np.int32, count=rows * (bins - 1)).reshape(rows, -1)
+        yield bars[:, 1:] - bars[:, :-1] - 1
 
 
 def _mirror_pairs(counts: np.ndarray):
@@ -172,25 +173,25 @@ def _mirror_pairs(counts: np.ndarray):
     return counts[keep], np.where(order[keep] < 0, 2.0, 1.0)
 
 
-def _exact_subgrid(table: LikelihoodTable, degree: int) -> int:
+def _exact_subgrid(probs: np.ndarray, n_total: int, repeats: int) -> int:
     """Size M' of the subgrid (every (M/M')-th column) on which the
-    trapezoid rule sums a compound likelihood, a product of R table rows,
-    to what the full grid of M points gives.
+    trapezoid rule sums a compound likelihood, a product of ``repeats``
+    rows of ``probs``, to what the full grid of M points gives.
 
-    If the rows are trigonometric polynomials of degree N, the product is
-    one of degree ``degree`` = N R, summed exactly on any M' > N R points.
-    M' is the smallest divisor of M above ``degree``, even on an even grid
-    (so a half period is M'/2 columns), if the table's rows are
-    band-limited to degree N: every harmonic above N of every row under
-    ``_BAND_TOL`` times M.  Otherwise, or with no such divisor, it is M.
+    If the rows are trigonometric polynomials of degree N = ``n_total``,
+    the product is one of degree N R, summed exactly on any M' > N R
+    points.  M' is the smallest divisor of M above N R, even on an even
+    grid (so a half period is M'/2 columns), if the rows are band-limited
+    to degree N: every harmonic above N of every row under ``_BAND_TOL``
+    times M.  Otherwise, or with no such divisor, it is M.
     """
-    size = table.grid.size
+    size = probs.shape[1]
     divisors = {d for i in range(1, math.isqrt(size) + 1) if size % i == 0
                 for d in (i, size // i)}
-    subgrid = min((d for d in divisors if d > degree and d % 2 == size % 2),
+    subgrid = min((d for d in divisors if d > n_total * repeats and d % 2 == size % 2),
                   default=size)
     if subgrid < size:  # so N < M/2, and harmonic N + 1 exists
-        harmonics = np.fft.rfft(table.probs, axis=1)[:, table.n_total + 1:]
+        harmonics = np.fft.rfft(probs, axis=1)[:, n_total + 1:]
         if not np.abs(harmonics).max() <= _BAND_TOL * size:
             return size
     return subgrid
@@ -204,31 +205,32 @@ def _log_factorials(total: int) -> np.ndarray:
     return np.concatenate([np.zeros(1, dtype=np.longdouble), np.cumsum(logs)])
 
 
-def _stream_compound(table: LikelihoodTable, repeats: int, counts: np.ndarray,
-                     column_weights: np.ndarray):
-    """Stream the compound table P_v(phi_k) of the rows of ``counts`` in
-    blocks of about 1 MiB and reduce it: the masses S_v = sum_k P_vk, the
-    sums sum_k P_vk ln P_vk, and the column sums sum_v weight_v P_vk."""
+def _stream_compound(probs: np.ndarray, repeats: int, mirrored: bool):
+    """Yield the compound likelihoods P_v(phi_k) of ``repeats`` uses of the
+    rows ``probs`` in blocks of about 1 MiB, count vectors v in
+    lexicographic order, as (mu_v, L = ln P_v, P_v): L is ``counts @ ln P``
+    (:func:`optics._log_probs`) plus the log multinomial coefficient,
+    clipped to [``_LOG_FLOOR``, 0], and P_v = exp(L), zeroed under
+    ``PROB_FLOOR``, is in a buffer the next block reuses.  If ``mirrored``,
+    a block holds the vectors :func:`_mirror_pairs` keeps, else all (mu_v = 1).
+    """
     # rounded to double once, not term by term: ln R! alone, rounded, would
     # scale every P_v alike (2.5e-13 nats at R = 1200)
     log_factorials = _log_factorials(repeats)
-    log_coefficients = (log_factorials[-1] - log_factorials[counts].sum(axis=1)).astype(float)
-    block = max(1, _COMPOUND_BLOCK_CELLS // table.grid.size)
-    starts = range(0, len(counts), block)
-    column_sums = np.zeros(table.grid.size)
-    mass, p_log_p = np.empty(len(counts)), np.empty(len(counts))
-    buffer = np.empty((min(block, len(counts)), table.grid.size))
-    log_blocks = table.log_likelihood_blocks(counts[start:start + block]
-                                             for start in starts)
-    for start, log_probs in zip(starts, log_blocks):
-        log_probs += log_coefficients[start:start + block, None]
-        np.clip(log_probs, _LOG_FLOOR, 0.0, out=log_probs)
-        probs = np.exp(log_probs, out=buffer[:len(log_probs)])
-        np.copyto(probs, 0.0, where=probs < PROB_FLOOR)
-        column_sums += np.einsum("v,vk->k", column_weights[start:start + block], probs)
-        mass[start:start + block] = probs.sum(axis=1)
-        p_log_p[start:start + block] = np.einsum("vk,vk->v", probs, log_probs)
-    return mass, p_log_p, column_sums
+    log_probs = _log_probs(probs)
+    block = max(1, _COMPOUND_BLOCK_CELLS // probs.shape[1])
+    buffer = np.empty((block, probs.shape[1]))
+    for counts in _count_vectors(repeats, len(probs), block):
+        counts, multiplicity = _mirror_pairs(counts) if mirrored else (counts, np.ones(len(counts)))
+        if not len(counts):  # the slice holds only mirrors of vectors kept earlier
+            continue
+        log_compound = counts @ log_probs
+        log_compound += (log_factorials[-1]
+                         - log_factorials[counts].sum(axis=1)).astype(float)[:, None]
+        np.clip(log_compound, _LOG_FLOOR, 0.0, out=log_compound)
+        compound = np.exp(log_compound, out=buffer[:len(counts)])
+        np.copyto(compound, 0.0, where=compound < PROB_FLOOR)
+        yield multiplicity, log_compound, compound
 
 
 def _mean_compound_p_log_p(probs: np.ndarray, repeats: int, mirrored: bool) -> float:
@@ -255,9 +257,9 @@ def _mean_compound_p_log_p(probs: np.ndarray, repeats: int, mirrored: bool) -> f
         column = columns[:, start:start + block]
         sums = column.sum(axis=0)
         p = column / sums
-        with np.errstate(divide="ignore"):  # p = 0 or p = 1
-            # a finite floor for log 0, so that 0 log 0 = 0 below
-            log_p = np.maximum(np.log(p), _LOG_ZERO)
+        # a finite ln 0 (p = 0 or p = 1), so that 0 ln 0 = 0 below
+        log_p = _log_probs(p)
+        with np.errstate(divide="ignore"):
             log_q = np.maximum(np.log1p(-p), _LOG_ZERO)
         # ln pmf_j = j (ln p - ln q) + R ln q + ln C(R, j), with j last
         pmf = np.multiply.outer(log_p - log_q, draws)
@@ -265,7 +267,7 @@ def _mean_compound_p_log_p(probs: np.ndarray, repeats: int, mirrored: bool) -> f
         pmf += log_binomials
         np.exp(pmf, out=pmf)
         expected = np.einsum("mkj,j->mk", pmf, weights) / pmf.sum(axis=2)
-        p_log_p = np.einsum("mk,mk->k", p, np.where(p > 0.0, log_p, 0.0))
+        p_log_p = np.einsum("mk,mk->k", p, log_p)
         terms = log_factorials[-1] + repeats * p_log_p - expected.sum(axis=0)
         total += np.sum(sums ** repeats * (terms + repeats * np.log(sums)))
     return float(total / columns.shape[1])
@@ -309,51 +311,44 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
     (palindrome), and the column sums are h + h rolled by M/2 (M'/2 on a
     subgrid, which is even), with h = sum_v (mu_v/2) P_v.  Otherwise (an
     odd grid, a table built by hand that does not mirror) every vector has
-    mu_v = 1.  The compound table is streamed in blocks of about 1 MiB:
-    L = ln P from the counts (:meth:`LikelihoodTable.log_likelihood_blocks`)
-    and the multinomial coefficient (from ln k! summed in long double,
-    rounded to double once), clipped to at most 0, and P = exp(L), zeroed
-    under ``PROB_FLOOR``.  Memory is one block plus the count
-    vectors; more than ``MAX_COUNT_VECTORS`` vectors, or more than
-    ``MAX_COUNT_CELLS`` vectors times outcomes (over all outcomes), raise
+    mu_v = 1.  The vectors are enumerated and P_v(phi_k) evaluated one
+    block of about 1 MiB at a time (:func:`_stream_compound`), and each
+    block is reduced to what its path needs (sum_k P_vk L_vk on the
+    binomial path only), so memory does not grow with the vector count.
+    More than ``MAX_COUNT_VECTORS`` vectors (over all outcomes) raise
     ResourceLimitError before anything is enumerated.
     """
-    if int(repeats) != repeats or repeats < 1:
+    if not _is_integer(repeats) or repeats < 1:
         raise ValueError(f"repeats must be a positive integer, got {repeats!r}")
     repeats = int(repeats)
-    n_outcomes = table.outcome_count
-    n_vectors = math.comb(repeats + n_outcomes - 1, n_outcomes - 1)
+    n_vectors = math.comb(repeats + table.outcome_count - 1, repeats)
     if n_vectors > MAX_COUNT_VECTORS:
         raise ResourceLimitError(f"{n_vectors} compound count vectors exceed the "
                                  f"cap of {MAX_COUNT_VECTORS}")
-    if n_vectors * n_outcomes > MAX_COUNT_CELLS:
-        raise ResourceLimitError(f"{n_vectors} compound count vectors of {n_outcomes} "
-                                 f"outcomes exceed the cap of {MAX_COUNT_CELLS} cells")
 
     _check_columns(table.probs.sum(axis=0))  # also rejects all-zero tables
-    possible = table.probs.any(axis=1)
-    table = replace(
-        table, probs=table.probs[possible],
-        outcomes=[o for o, keep in zip(table.outcomes, possible) if keep])
-    binomial = table.outcome_count <= 2
-    subgrid = table.grid.size if binomial else _exact_subgrid(table, table.n_total * repeats)
+    probs = table.probs[table.probs.any(axis=1)]
+    binomial = len(probs) <= 2
+    subgrid = table.grid.size if binomial else _exact_subgrid(probs, table.n_total, repeats)
     stride = table.grid.size // subgrid
-    compound = replace(table, grid=PhaseGrid(subgrid),
-                       probs=np.ascontiguousarray(table.probs[:, stride - 1::stride]))
-    counts = _count_vectors(repeats, table.outcome_count)
-    mirrored = _mirrors_by_half_period(table.probs)
-    if mirrored:
-        counts, multiplicity = _mirror_pairs(counts)
-        column_weights = 0.5 * multiplicity
-    else:
-        multiplicity = column_weights = np.ones(len(counts))
-    mass, p_log_p, column_sums = _stream_compound(compound, repeats, counts, column_weights)
-    if mirrored:
-        column_sums += np.roll(column_sums, subgrid // 2)
+    mirrored = _mirrors_by_half_period(probs)
+    column_sums = np.zeros(subgrid)
+    multiplicities, masses, p_log_p = [], [], []
+    for multiplicity, log_compound, compound in _stream_compound(
+            probs[:, stride - 1::stride], repeats, mirrored):
+        column_sums += np.einsum("v,vk->k", multiplicity, compound)
+        multiplicities.append(multiplicity)
+        masses.append(compound.sum(axis=1))
+        if binomial:
+            p_log_p.append(np.einsum("vk,vk->v", compound, log_compound))
+    del log_compound, compound  # free the last block before H(V|phi) allocates
+    if mirrored:  # h + h rolled by half a period, h = (1/2) sum_v mu_v P_v
+        column_sums = 0.5 * (column_sums + np.roll(column_sums, subgrid // 2))
     _check_columns(column_sums)
+    multiplicity, mass = np.concatenate(multiplicities), np.concatenate(masses)
     if binomial:
         with np.errstate(divide="ignore", invalid="ignore"):  # vectors with S_v = 0
-            terms = np.where(mass > 0.0, LOG2_E * p_log_p
+            terms = np.where(mass > 0.0, LOG2_E * np.concatenate(p_log_p)
                              + mass * np.log2(TWO_PI / (table.grid.weight * mass)), 0.0)
         terms *= multiplicity
         terms *= table.grid.weight / TWO_PI
@@ -361,8 +356,7 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
         mass /= subgrid
         with np.errstate(divide="ignore", invalid="ignore"):  # vectors with Q_v = 0
             terms = np.where(mass > 0.0, -multiplicity * mass * np.log2(mass), 0.0)
-        terms = np.append(terms, LOG2_E * _mean_compound_p_log_p(table.probs, repeats,
-                                                                 mirrored))
+        terms = np.append(terms, LOG2_E * _mean_compound_p_log_p(probs, repeats, mirrored))
     return FidelityReport(h_bits=max(math.fsum(terms), 0.0),
                           state_label=f"{table.state_label} x{repeats}",
                           n_photons=table.n_total * repeats,

@@ -48,6 +48,9 @@ from .grid import DEFAULT_GRID_SIZE, PhaseGrid
 # of subnormal noise downstream)
 PROB_FLOOR = 1e-300
 NORM_TOL = 1e-12
+# stands for ln 0: finite, so 0 times it is 0 (0 ln 0 = 0), and any count
+# from 1 to 1e8 times it is far below -745, so exp gives an exact 0
+_LOG_ZERO = -1e300
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ class Outcome:
     def __post_init__(self):
         for name in ("n_c", "n_d"):
             value = getattr(self, name)
-            if int(value) != value or value < 0:
+            if not _is_integer(value) or value < 0:
                 raise ValueError(f"photon count {name} must be a non-negative "
                                  f"integer, got {value!r}")
             object.__setattr__(self, name, int(value))
@@ -136,8 +139,16 @@ def noon_state(n: int) -> StateCoefficients:
 STATE_FAMILIES = {"fock": fock_state, "noon": noon_state}
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` equals an integer (not inf or NaN, which int() rejects)."""
+    try:
+        return int(value) == value
+    except (OverflowError, ValueError):
+        return False
+
+
 def _check_photon_number(n, minimum=0) -> int:
-    if int(n) != n or n < minimum:
+    if not _is_integer(n) or n < minimum:
         raise ValueError(f"photon number must be an integer >= {minimum}, got {n!r}")
     return int(n)
 
@@ -147,6 +158,12 @@ def _check_phase(phi) -> np.ndarray:
     if not np.all(np.isfinite(phi)):
         raise ValueError("phase values must be finite")
     return phi
+
+
+def _log_probs(probs: np.ndarray) -> np.ndarray:
+    """ln P, with ``_LOG_ZERO`` for ln 0."""
+    with np.errstate(divide="ignore"):
+        return np.maximum(np.log(probs), _LOG_ZERO)
 
 
 def _clamp_probs(p: np.ndarray) -> np.ndarray:
@@ -373,26 +390,13 @@ class LikelihoodTable:
         return self.probs[outcome.n_c]
 
     def log_likelihood(self, counts) -> np.ndarray:
-        """L[v, k] = sum_m counts[v, m] log P(m | phi_k) for each count vector.
+        """L[v, k] = sum_m counts[v, m] ln P(m | phi_k) for each count vector.
 
         ``counts`` has one row per count vector and one column per outcome
-        row.  0 log 0 is 0; a positive count on a cell where P = 0 gives
-        -inf, so ``exp`` of the result is exactly 0 there.
+        row.  ln 0 is ``_LOG_ZERO`` (:func:`_log_probs`), so 0 ln 0 is 0 and
+        exp(L) is exactly 0 on a cell where a counted outcome has P = 0.
         """
-        return next(self.log_likelihood_blocks([counts]))
-
-    def log_likelihood_blocks(self, count_blocks):
-        """Yield :meth:`log_likelihood` of each array of count vectors in
-        ``count_blocks``, working out log P and its zeros once."""
-        zero = self.probs == 0.0
-        log_probs = np.log(np.where(zero, 1.0, self.probs))
-        zero_rows = np.flatnonzero(zero.any(axis=1))
-        for counts in count_blocks:
-            counts = np.asarray(counts, dtype=np.float64)
-            out = counts @ log_probs
-            for m in zero_rows:
-                out[np.ix_(counts[:, m] > 0, zero[m])] = -np.inf
-            yield out
+        return np.asarray(counts, dtype=np.float64) @ _log_probs(self.probs)
 
 
 def likelihood_table(state: StateCoefficients,

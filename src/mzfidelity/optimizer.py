@@ -40,7 +40,7 @@ import numpy as np
 from .fidelity import TWO_PI, _information_terms, mutual_information
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, StateCoefficients,
-                     _check_photon_number, _clamp_probs, _distinct_rows,
+                     _check_photon_number, _clamp_probs, _distinct_rows, _is_integer,
                      _grid_stage, _outcome_amplitudes, _outcome_amplitudes_transpose,
                      fock_state, likelihood_table, noon_state)
 
@@ -63,7 +63,7 @@ class OptimizerConfig:
         for name in ("restarts", "max_iterations", "seed",
                      "search_grid_size", "report_grid_size"):
             value = getattr(self, name)
-            if int(value) != value:
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             setattr(self, name, int(value))
         if self.restarts < 1 or self.max_iterations < 1:

@@ -14,6 +14,7 @@ from mzfidelity import (Outcome, PhaseGrid, ResourceLimitError, StateCoefficient
                         simulate_sequence)
 from mzfidelity import bayes
 from mzfidelity.bayes import PEAK_REL_THRESHOLD, PhasePosterior, _wrap_angle
+from mzfidelity.optics import LikelihoodTable
 
 PHI_STAR_4_21 = 2.0 * math.atan(math.sqrt(4.0 / 21.0))  # 0.823033692...
 
@@ -410,6 +411,27 @@ def test_simulate_long_record_matches_exact_sum():
     # atol only admits subnormal values, whose relative precision is lost
     np.testing.assert_allclose(result.final_posterior.density, exact,
                                rtol=1e-9, atol=1e-300)
+
+
+def test_record_impossible_at_every_phase_has_no_posterior():
+    # each outcome of [[1, 0], [0, 1]] rules out the phase where the other
+    # is certain, so a record that counts both is impossible everywhere
+    table = LikelihoodTable(grid=PhaseGrid(2), probs=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                            outcomes=[Outcome(0, 1), Outcome(1, 0)],
+                            state_label="synthetic", n_total=1)
+    log_likelihood = table.log_likelihood([[1, 1]])[0]
+    with pytest.raises(ZeroProbabilityOutcomeError, match="whole grid"):
+        bayes._posterior_from_log(log_likelihood, table.grid, Outcome(1, 0))
+    # impossible at some phases only: exact zeros there, the normalized
+    # product of the rows elsewhere
+    table.grid = PhaseGrid(4)
+    table.probs = np.array([[1.0, 0.5, 0.0, 0.25], [0.0, 0.5, 1.0, 0.75]])
+    log_likelihood = table.log_likelihood([[1, 1]])[0]
+    density = bayes._posterior_from_log(log_likelihood, table.grid, Outcome(1, 0)).density
+    assert density[0] == density[2] == 0.0
+    product = table.probs[0] * table.probs[1]
+    np.testing.assert_allclose(density, product / table.grid.integrate(product),
+                               rtol=1e-15, atol=0.0)
 
 
 def test_simulate_never_draws_impossible_outcome():

@@ -309,7 +309,7 @@ def test_compound_distribution_matches_multinomial_oracle():
         oracle[counts] = oracle.get(counts, 0.0) + p
     # reproduce the compound table through the public entry point
     from mzfidelity.fidelity import _count_vectors
-    labels = [tuple(row) for row in _count_vectors(repeats, 3).tolist()]
+    labels = [tuple(row) for block in _count_vectors(repeats, 3, 4) for row in block.tolist()]
     assert labels == sorted(oracle)  # every count vector once, in lexicographic order
     compound_rows = [(counts, oracle[counts]) for counts in labels]
     h_oracle = mutual_information(
@@ -368,9 +368,9 @@ def _rows_with_isolated_zeros():
 
 
 def test_repeats_with_isolated_zero_cells(monkeypatch):
-    # a vector counting a row that vanishes at a few phases has L = -inf
-    # there, which the clip raises to the floor and the floor turns back
-    # into an exact 0
+    # a vector counting a row that vanishes at a few phases has L at or
+    # below optics._LOG_ZERO there, which the clip raises to the floor and
+    # the floor turns back into an exact 0
     rows = _rows_with_isolated_zeros()
     column_sums = []
     check = fidelity._check_columns
@@ -400,14 +400,14 @@ def test_repeats_evaluate_one_vector_per_mirror_pair(monkeypatch, n):
     # the grid size above N R (even on an even grid), since the rows of a
     # likelihood_table are band-limited to degree N
     evaluated = []
-    blocks = LikelihoodTable.log_likelihood_blocks
+    stream = fidelity._stream_compound
 
-    def counting_blocks(self, count_blocks):
-        for counts in count_blocks:
-            evaluated.append((len(counts), self.probs.shape[1]))
-            yield from blocks(self, [counts])
+    def counting_stream(*args):
+        for multiplicity, log_compound, compound in stream(*args):
+            evaluated.append(compound.shape)
+            yield multiplicity, log_compound, compound
 
-    monkeypatch.setattr(LikelihoodTable, "log_likelihood_blocks", counting_blocks)
+    monkeypatch.setattr(fidelity, "_stream_compound", counting_stream)
     repeats = 6
     vectors = math.comb(repeats + n, n)
     palindromes = sum(1 for counts in _lexicographic_count_vectors(repeats, n + 1)
@@ -471,19 +471,57 @@ def test_repeats_resource_cap(monkeypatch):
     assert mutual_information(table).h_bits < report.h_bits < math.log2(46376)
 
 
-def test_repeats_cap_count_cells_before_enumerating():
-    # 988,260 vectors is under the vector cap, but enumerating them over 180
-    # outcomes would take about 4 GiB
-    table = likelihood_table(fock_state(179), grid_size=64)
-    assert math.comb(182, 3) <= fidelity.MAX_COUNT_VECTORS
+def test_repeats_enumerate_count_vectors_a_block_at_a_time():
+    # 125,970 vectors over 9 outcomes: enumerated all at once they took
+    # 26 MiB, and 163 MiB over 11 outcomes
+    table = likelihood_table(fock_state(8), grid_size=64)
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match="cells"):
-            repeated_mutual_information(table, 3)
+        report = repeated_mutual_information(table, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak <= 8 << 20
+    assert report.outcome_count == math.comb(20, 8)
+
+
+@pytest.mark.parametrize("bins", [1, 2, 3, 5])
+@pytest.mark.parametrize("block", [1, 2, 7, 10_000])
+def test_count_vector_blocks_are_the_lexicographic_enumeration(bins, block):
+    total = 6
+    blocks = list(fidelity._count_vectors(total, bins, block))
+    assert all(counts.dtype == np.int32 and counts.shape[1] == bins for counts in blocks)
+    assert [len(counts) for counts in blocks[:-1]] == [block] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1]) <= block
+    assert [tuple(row) for counts in blocks for row in counts.tolist()] == list(
+        _lexicographic_count_vectors(total, bins))
+
+
+@pytest.mark.parametrize("grid_size", [64, 63])
+def test_repeats_do_not_depend_on_the_block_size(monkeypatch, grid_size):
+    # a one-row block takes another BLAS path for counts @ ln P than a
+    # longer one, and rounds differently
+    geometry = InterferometerGeometry(0.3, -1.1)
+    cases = [(likelihood_table(fock_state(1), geometry, grid_size), 60),
+             (likelihood_table(_random_state(np.random.default_rng(5), 3), geometry,
+                               grid_size), 6)]
+    for table, repeats in cases:
+        default = repeated_mutual_information(table, repeats).h_bits
+        shapes = []
+        stream = fidelity._stream_compound
+
+        def recording_stream(*args):
+            for block in stream(*args):
+                shapes.append(block[2].shape)
+                yield block
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fidelity, "_COMPOUND_BLOCK_CELLS", 1)
+            patch.setattr(fidelity, "_stream_compound", recording_stream)
+            h = repeated_mutual_information(table, repeats).h_bits
+        assert {rows for rows, _ in shapes} == {1}
+        assert h == pytest.approx(default, abs=1e-14)
+        assert h == pytest.approx(_long_double_compound_h(table.probs, repeats), abs=1e-13)
 
 
 # ---------------------------------------------------------------------------

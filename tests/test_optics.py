@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import mzfidelity
-from mzfidelity import (DEFAULT_GEOMETRY, InterferometerGeometry, Outcome,
-                        PhaseGrid, StateCoefficients, fock_outcome_prob, fock_state,
-                        likelihood_table, noon_outcome_prob, noon_state,
-                        outcome_distribution, optics)
+from mzfidelity import (DEFAULT_GEOMETRY, InterferometerGeometry, OptimizerConfig,
+                        Outcome, PhaseGrid, StateCoefficients, fidelity_sweep,
+                        fock_outcome_prob, fock_state, likelihood_table,
+                        noon_outcome_prob, noon_state, outcome_distribution, optics,
+                        repeated_mutual_information, simulate_sequence)
 from mzfidelity.cli import MAX_PHOTONS
 from mzfidelity.optics import (_beam_splitter, _grid_stage, _mirrors_by_half_period,
                                _outcome_amplitudes, _outcome_amplitudes_transpose,
@@ -61,6 +62,30 @@ def test_outcome_validation():
         Outcome(-1, 2)
     with pytest.raises(ValueError):
         Outcome(1.5, 0)
+
+
+# each documented integer check, called with a value that int() cannot
+# convert (it raises OverflowError for an infinity)
+_INTEGER_CHECKS = {
+    "fock_state": (fock_state, "photon number must be an integer"),
+    "Outcome": (lambda x: Outcome(x, 0), "photon count n_c must be a non-negative integer"),
+    "fidelity_sweep": (lambda x: fidelity_sweep("fock", n_max=x),
+                       "n_max must be a positive integer"),
+    "repeated_mutual_information": (
+        lambda x: repeated_mutual_information(likelihood_table(fock_state(1), grid_size=8), x),
+        "repeats must be a positive integer"),
+    "simulate_sequence": (lambda x: simulate_sequence(fock_state(1), shots=x),
+                          "shots must be a positive integer"),
+    "OptimizerConfig": (lambda x: OptimizerConfig(restarts=x), "restarts must be an integer"),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("check", sorted(_INTEGER_CHECKS))
+def test_integer_checks_reject_non_finite_values(check, value):
+    call, message = _INTEGER_CHECKS[check]
+    with pytest.raises(ValueError, match=message):
+        call(value)
 
 
 def test_state_coefficients_validation():
