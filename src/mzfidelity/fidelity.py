@@ -34,8 +34,8 @@ SLOPE_TOL = 1e-12
 # count vectors of a compound table, over all outcomes: a time cap, since
 # they are enumerated a block at a time
 MAX_COUNT_VECTORS = 1_000_000
-# cells (count vectors x grid points) in one block of the streamed compound
-# table: 1 MiB of float64, so a block and its temporaries stay in cache
+# cells in a block of the streamed compound table, count vectors times the
+# longer of outcomes and grid points: 1 MiB of float64, kept in cache
 _COMPOUND_BLOCK_CELLS = 1 << 17
 # exp of a log below this is a normal float under PROB_FLOOR, zeroed anyway;
 # raising lower logs (_LOG_ZERO too) to it skips exp's slow underflow
@@ -212,15 +212,18 @@ def _stream_compound(probs: np.ndarray, repeats: int, mirrored: bool):
     (:func:`optics._log_probs`) plus the log multinomial coefficient,
     clipped to [``_LOG_FLOOR``, 0], and P_v = exp(L), zeroed under
     ``PROB_FLOOR``, is in a buffer the next block reuses.  If ``mirrored``,
-    a block holds the vectors :func:`_mirror_pairs` keeps, else all (mu_v = 1).
+    a block holds the vectors :func:`_mirror_pairs` keeps, else all (mu_v =
+    1), and the enumeration stops where v_0 > R/2.
     """
     # rounded to double once, not term by term: ln R! alone, rounded, would
     # scale every P_v alike (2.5e-13 nats at R = 1200)
     log_factorials = _log_factorials(repeats)
     log_probs = _log_probs(probs)
-    block = max(1, _COMPOUND_BLOCK_CELLS // probs.shape[1])
+    block = max(1, _COMPOUND_BLOCK_CELLS // max(probs.shape))
     buffer = np.empty((block, probs.shape[1]))
     for counts in _count_vectors(repeats, len(probs), block):
+        if mirrored and len(probs) > 1 and 2 * counts[0, 0] > repeats:
+            break  # from here on v_0 > R/2 > v_last: each v mirrors one kept earlier
         counts, multiplicity = _mirror_pairs(counts) if mirrored else (counts, np.ones(len(counts)))
         if not len(counts):  # the slice holds only mirrors of vectors kept earlier
             continue
@@ -300,21 +303,20 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
       marginals at each grid point, with no count vector at all
       (:func:`_mean_compound_p_log_p`).
 
-    H is the ``math.fsum`` of the terms.  The count vectors: if the
-    table's rows, reversed, equal its rows rolled by half a period entry
-    for entry (:func:`optics._mirrors_by_half_period`, true of every
-    even-grid :func:`likelihood_table`, where P(N-m|phi) = P(m|phi+pi)),
-    the reverse of a vector v has likelihood L_v(phi_k+M/2): the same
-    mass and term, and column sums half a period apart.  Then only the
-    lexicographically smaller vector of each pair is evaluated, and every
-    palindrome; it counts with multiplicity mu_v = 2 (pair) or 1
-    (palindrome), and the column sums are h + h rolled by M/2 (M'/2 on a
-    subgrid, which is even), with h = sum_v (mu_v/2) P_v.  Otherwise (an
-    odd grid, a table built by hand that does not mirror) every vector has
-    mu_v = 1.  The vectors are enumerated and P_v(phi_k) evaluated one
-    block of about 1 MiB at a time (:func:`_stream_compound`), and each
-    block is reduced to what its path needs (sum_k P_vk L_vk on the
-    binomial path only), so memory does not grow with the vector count.
+    H is the ``math.fsum`` of the terms.  If the table's rows, reversed,
+    equal its rows rolled by half a period entry for entry
+    (:func:`optics._mirrors_by_half_period`, true of every even-grid
+    :func:`likelihood_table`, where P(N-m|phi) = P(m|phi+pi)), the reverse
+    of a vector v has likelihood L_v(phi_k+M/2): the same mass and term,
+    and column sums half a period apart.  Then only the lexicographically
+    smaller vector of each pair is evaluated, and every palindrome, with
+    multiplicity mu_v = 2 (pair) or 1 (palindrome); the column sums are
+    h + h rolled by M/2 (M'/2 on a subgrid, which is even), h = sum_v
+    (mu_v/2) P_v.  Otherwise (an odd grid, a table built by hand that does
+    not mirror) every vector has mu_v = 1.  Blocks of about 1 MiB of
+    vectors are enumerated, evaluated (:func:`_stream_compound`) and
+    reduced to their terms (sum_k P_vk L_vk on the binomial path only), so
+    one double per evaluated vector outlives its block.
     More than ``MAX_COUNT_VECTORS`` vectors (over all outcomes) raise
     ResourceLimitError before anything is enumerated.
     """
@@ -332,32 +334,26 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
     subgrid = table.grid.size if binomial else _exact_subgrid(probs, table.n_total, repeats)
     stride = table.grid.size // subgrid
     mirrored = _mirrors_by_half_period(probs)
-    column_sums = np.zeros(subgrid)
-    multiplicities, masses, p_log_p = [], [], []
+    column_sums, terms = np.zeros(subgrid), []
     for multiplicity, log_compound, compound in _stream_compound(
             probs[:, stride - 1::stride], repeats, mirrored):
         column_sums += np.einsum("v,vk->k", multiplicity, compound)
-        multiplicities.append(multiplicity)
-        masses.append(compound.sum(axis=1))
-        if binomial:
-            p_log_p.append(np.einsum("vk,vk->v", compound, log_compound))
+        mass = compound.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # vectors with S_v = 0
+            if binomial:
+                rows = np.where(mass > 0.0, LOG2_E * np.einsum("vk,vk->v", compound, log_compound)
+                                + mass * np.log2(TWO_PI / (table.grid.weight * mass)), 0.0)
+                terms.append(rows * multiplicity * (table.grid.weight / TWO_PI))
+            else:  # Q_v = S_v / M'
+                mass /= subgrid
+                terms.append(np.where(mass > 0.0, -multiplicity * mass * np.log2(mass), 0.0))
     del log_compound, compound  # free the last block before H(V|phi) allocates
     if mirrored:  # h + h rolled by half a period, h = (1/2) sum_v mu_v P_v
         column_sums = 0.5 * (column_sums + np.roll(column_sums, subgrid // 2))
     _check_columns(column_sums)
-    multiplicity, mass = np.concatenate(multiplicities), np.concatenate(masses)
-    if binomial:
-        with np.errstate(divide="ignore", invalid="ignore"):  # vectors with S_v = 0
-            terms = np.where(mass > 0.0, LOG2_E * np.concatenate(p_log_p)
-                             + mass * np.log2(TWO_PI / (table.grid.weight * mass)), 0.0)
-        terms *= multiplicity
-        terms *= table.grid.weight / TWO_PI
-    else:
-        mass /= subgrid
-        with np.errstate(divide="ignore", invalid="ignore"):  # vectors with Q_v = 0
-            terms = np.where(mass > 0.0, -multiplicity * mass * np.log2(mass), 0.0)
-        terms = np.append(terms, LOG2_E * _mean_compound_p_log_p(probs, repeats, mirrored))
-    return FidelityReport(h_bits=max(math.fsum(terms), 0.0),
+    if not binomial:
+        terms.append([LOG2_E * _mean_compound_p_log_p(probs, repeats, mirrored)])
+    return FidelityReport(h_bits=max(math.fsum(np.concatenate(terms)), 0.0),
                           state_label=f"{table.state_label} x{repeats}",
                           n_photons=table.n_total * repeats,
                           grid_size=table.grid.size, outcome_count=n_vectors)

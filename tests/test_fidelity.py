@@ -430,6 +430,37 @@ def test_repeats_evaluate_one_vector_per_mirror_pair(monkeypatch, n):
     assert {width for _, width in evaluated} == {64}
 
 
+def test_repeats_stop_enumerating_past_the_first_half(monkeypatch):
+    # on a mirrored table every vector with v_0 > R/2 is the reverse of one
+    # before it, so the enumeration stops at the first block of them; one
+    # outcome has a single vector, a palindrome, which is still evaluated
+    enumerated, evaluated = [], []
+    count_vectors, stream = fidelity._count_vectors, fidelity._stream_compound
+
+    def counting_vectors(*args):
+        for counts in count_vectors(*args):
+            enumerated.append(len(counts))
+            yield counts
+
+    def counting_stream(*args):
+        for block in stream(*args):
+            evaluated.append(len(block[0]))
+            yield block
+
+    monkeypatch.setattr(fidelity, "_count_vectors", counting_vectors)
+    monkeypatch.setattr(fidelity, "_stream_compound", counting_stream)
+    monkeypatch.setattr(fidelity, "_COMPOUND_BLOCK_CELLS", 4 * 64)  # 4 vectors a block
+    table = likelihood_table(fock_state(1), grid_size=64)
+    h = repeated_mutual_information(table, 60).h_bits
+    assert sum(evaluated) == 31  # (j, 60 - j) for j <= 30
+    assert sum(enumerated) == 36  # 32 rows, and the block starting at j = 32
+    assert h == pytest.approx(_long_double_compound_h(table.probs, 60), abs=1e-13)
+    enumerated.clear(), evaluated.clear()
+    assert repeated_mutual_information(likelihood_table(fock_state(0), grid_size=64),
+                                      3).h_bits == 0.0
+    assert enumerated == evaluated == [1]
+
+
 def test_repeats_on_both_paths_match_long_double_reference():
     geometry = InterferometerGeometry(0.3, -1.1)
     state = _random_state(np.random.default_rng(5), 3)
@@ -471,18 +502,20 @@ def test_repeats_resource_cap(monkeypatch):
     assert mutual_information(table).h_bits < report.h_bits < math.log2(46376)
 
 
-def test_repeats_enumerate_count_vectors_a_block_at_a_time():
-    # 125,970 vectors over 9 outcomes: enumerated all at once they took
-    # 26 MiB, and 163 MiB over 11 outcomes
-    table = likelihood_table(fock_state(8), grid_size=64)
+@pytest.mark.parametrize("n, grid_size, repeats", [(8, 64, 12), (60, 2, 3)])
+def test_repeats_enumerate_count_vectors_a_block_at_a_time(n, grid_size, repeats):
+    # fock 8 x 12: 125,970 vectors over 9 outcomes, enumerated all at once
+    # they took 26 MiB.  fock 60 x 3 on 2 points: 39,711 vectors over 61
+    # outcomes, where a block sized by the grid alone took 34 MiB of counts
+    table = likelihood_table(fock_state(n), grid_size=grid_size)
     tracemalloc.start()
     try:
-        report = repeated_mutual_information(table, 12)
+        report = repeated_mutual_information(table, repeats)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 << 20
-    assert report.outcome_count == math.comb(20, 8)
+    assert report.outcome_count == math.comb(n + repeats, n)
 
 
 @pytest.mark.parametrize("bins", [1, 2, 3, 5])
