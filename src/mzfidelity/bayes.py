@@ -13,10 +13,10 @@ import numpy as np
 
 from .exceptions import (ResourceLimitError, UndefinedCircularMeanError,
                          ZeroProbabilityOutcomeError)
-from .grid import DEFAULT_GRID_SIZE, PhaseGrid
+from .grid import DEFAULT_GRID_SIZE, PhaseGrid, _is_integer
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, LikelihoodTable,
                      Outcome, StateCoefficients, likelihood_table,
-                     outcome_distribution, _check_phase, _is_integer, _LOG_ZERO)
+                     outcome_distribution, _check_phase, _LOG_ZERO)
 
 # relative height below which a strict local maximum is discarded as
 # quadrature ripple; genuine secondary modes in scope sit above 1e-4
@@ -190,7 +190,8 @@ def simulate_sequence(state: StateCoefficients,
     if not _is_integer(shots) or shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots!r}")
     shots = int(shots)
-    history_bytes = 16 * shots * (state.n + 1 + int(grid_size))
+    grid = PhaseGrid(grid_size)
+    history_bytes = 16 * shots * (state.n + 1 + grid.size)
     if keep_history and history_bytes > MAX_HISTORY_BYTES:
         raise ResourceLimitError(f"a history of {shots} posteriors needs "
                                  f"{history_bytes} B, over the cap of {MAX_HISTORY_BYTES}")
@@ -201,7 +202,7 @@ def simulate_sequence(state: StateCoefficients,
     rng = np.random.default_rng(seed)
     draws = rng.choice(state.n + 1, size=shots, p=pmf)
 
-    table = likelihood_table(state, geometry, grid_size)
+    table = likelihood_table(state, geometry, grid.size)
     outcomes = [table.outcomes[n_c] for n_c in draws.tolist()]
     # one row of counts per returned posterior: every prefix, or all shots
     counts = (np.cumsum(np.eye(state.n + 1)[draws], axis=0) if keep_history

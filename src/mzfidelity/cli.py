@@ -363,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "restart must beat the best by more than this "
                           "(default %(default)s)")
     opt.add_argument("--search-grid", type=int, default=OptimizerConfig.search_grid_size,
-                     help="coarse grid used during the search")
+                     help="coarse grid used during the search "
+                          "(default %(default)s)")
     opt.set_defaults(func=cmd_optimize)
 
     sim = sub.add_parser("simulate",

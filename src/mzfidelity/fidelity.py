@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ResourceLimitError, StationaryPointError
-from .grid import DEFAULT_GRID_SIZE
+from .grid import DEFAULT_GRID_SIZE, _is_integer
 from .optics import (DEFAULT_GEOMETRY, PROB_FLOOR, STATE_FAMILIES,
                      InterferometerGeometry, LikelihoodTable, StateCoefficients,
-                     likelihood_table, _check_phase, _clamp_probs, _is_integer,
+                     likelihood_table, _check_phase, _clamp_probs,
                      _log_probs, _mirrors_by_half_period, _outcome_amplitudes,
                      _phase_factors, _LOG_ZERO)
 

@@ -5,6 +5,14 @@ import numpy as np
 DEFAULT_GRID_SIZE = 8192
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` equals an integer (not inf or NaN, which int() rejects)."""
+    try:
+        return int(value) == value
+    except (OverflowError, ValueError):
+        return False
+
+
 class PhaseGrid:
     """Uniform grid of ``size`` phase values covering (-pi, pi].
 
@@ -17,13 +25,15 @@ class PhaseGrid:
     Parameters
     ----------
     size : int
-        Number of grid points, at least 2.
+        Number of grid points, an integer of at least 2 (a float that
+        equals one is accepted; 8.7, inf and NaN are not).
     """
 
     def __init__(self, size: int):
+        if not _is_integer(size) or size < 2:
+            raise ValueError(f"phase grid needs an integer number of points, "
+                             f"at least 2, got {size!r}")
         size = int(size)
-        if size < 2:
-            raise ValueError(f"phase grid needs at least 2 points, got {size}")
         self.size = size
         self.points = np.linspace(-np.pi, np.pi, size + 1)[1:]
         self.weight = 2.0 * np.pi / size

@@ -42,7 +42,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .grid import DEFAULT_GRID_SIZE, PhaseGrid
+from .grid import DEFAULT_GRID_SIZE, PhaseGrid, _is_integer
 
 # probabilities below this are treated as exact zeros (keeps logs clean
 # of subnormal noise downstream)
@@ -137,14 +137,6 @@ def noon_state(n: int) -> StateCoefficients:
 
 
 STATE_FAMILIES = {"fock": fock_state, "noon": noon_state}
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` equals an integer (not inf or NaN, which int() rejects)."""
-    try:
-        return int(value) == value
-    except (OverflowError, ValueError):
-        return False
 
 
 def _check_photon_number(n, minimum=0) -> int:

@@ -38,10 +38,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fidelity import TWO_PI, _information_terms, mutual_information
-from .grid import DEFAULT_GRID_SIZE, PhaseGrid
+from .grid import DEFAULT_GRID_SIZE, PhaseGrid, _is_integer
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, StateCoefficients,
-                     _check_photon_number, _clamp_probs, _distinct_rows, _is_integer,
-                     _grid_stage, _outcome_amplitudes, _outcome_amplitudes_transpose,
+                     _check_photon_number, _clamp_probs, _distinct_rows, _grid_stage,
+                     _outcome_amplitudes, _outcome_amplitudes_transpose,
                      fock_state, likelihood_table, noon_state)
 
 ZERO_NORM_TOL = 1e-15
@@ -56,7 +56,9 @@ class OptimizerConfig:
     max_iterations: int = 2000
     tol_bits: float = 1e-7
     seed: int = 0
-    search_grid_size: int = 4096
+    # measured for N <= 200: the optimum this search reports on the report
+    # grid is at most 3e-8 bits below a 4096-point search's, under tol_bits
+    search_grid_size: int = 1024
     report_grid_size: int = DEFAULT_GRID_SIZE
 
     def __post_init__(self):

@@ -32,6 +32,7 @@ def test_grid_basics():
     assert grid.integrate(np.ones(8)) == pytest.approx(2 * np.pi)
     with pytest.raises(ValueError):
         PhaseGrid(1)
+    assert PhaseGrid(8.0).size == 8
 
 
 # ---------------------------------------------------------------------------

@@ -520,8 +520,15 @@ def test_table_rows_mirror_by_half_a_period(n, geometry):
 
 
 def test_table_grid_size_validation():
-    with pytest.raises(ValueError, match="at least 2"):
-        likelihood_table(fock_state(1), grid_size=1)
+    # a size that is not a finite integer is refused, not truncated or overflowed
+    message = "integer number of points, at least 2"
+    for size in (1, 8.7, math.inf, math.nan):
+        with pytest.raises(ValueError, match=message):
+            PhaseGrid(size)
+        with pytest.raises(ValueError, match=message):
+            likelihood_table(fock_state(1), grid_size=size)
+        with pytest.raises(ValueError, match=message):
+            simulate_sequence(fock_state(1), shots=1, grid_size=size)
 
 
 def test_table_row_lookup():

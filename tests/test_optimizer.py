@@ -209,6 +209,16 @@ def test_optimizer_works_at_photon_cap(holevo_bits):
     _assert_under_holevo_bound(result, holevo_bits(result.best_state.coeffs))
 
 
+@pytest.mark.parametrize("n", [12, 40])
+def test_default_search_grid_finds_the_fine_search_optimum(n):
+    coarse = OptimizerConfig(restarts=2, seed=7)
+    fine = OptimizerConfig(restarts=2, seed=7, search_grid_size=4096)
+    assert coarse.search_grid_size < fine.search_grid_size
+    assert (optimize_input_state(n, coarse).best_h_bits
+            == pytest.approx(optimize_input_state(n, fine).best_h_bits,
+                             abs=coarse.tol_bits))
+
+
 def test_restart_records():
     result = optimize_input_state(2, SMALL)
     assert len(result.restarts) == SMALL.restarts
