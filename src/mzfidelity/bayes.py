@@ -13,7 +13,7 @@ import numpy as np
 
 from .exceptions import (ResourceLimitError, UndefinedCircularMeanError,
                          ZeroProbabilityOutcomeError)
-from .grid import DEFAULT_GRID_SIZE, PhaseGrid, _is_integer
+from .grid import DEFAULT_GRID_SIZE, PhaseGrid, _integer
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, LikelihoodTable,
                      Outcome, StateCoefficients, likelihood_table,
                      outcome_distribution, _check_phase, _LOG_ZERO)
@@ -187,9 +187,7 @@ def simulate_sequence(state: StateCoefficients,
         ``record`` holds the drawn outcomes, ``posteriors`` the posterior
         sequence (length ``shots`` with history, else 1).
     """
-    if not _is_integer(shots) or shots < 1:
-        raise ValueError(f"shots must be a positive integer, got {shots!r}")
-    shots = int(shots)
+    shots = _integer(shots, "shots", minimum=1)
     grid = PhaseGrid(grid_size)
     history_bytes = 16 * shots * (state.n + 1 + grid.size)
     if keep_history and history_bytes > MAX_HISTORY_BYTES:

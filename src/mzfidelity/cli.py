@@ -265,8 +265,6 @@ def cmd_optimize(args) -> None:
 
 def cmd_simulate(args) -> None:
     state = _load(args)
-    if args.shots < 1:
-        raise ValueError("--shots must be at least 1")
     if args.shots > MAX_SHOTS:
         raise ResourceLimitError(f"--shots {args.shots} exceeds the cap of {MAX_SHOTS}")
     result = simulate_sequence(state, _geometry(args), true_phase=args.phase,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ResourceLimitError, StationaryPointError
-from .grid import DEFAULT_GRID_SIZE, _is_integer
+from .grid import DEFAULT_GRID_SIZE, _integer
 from .optics import (DEFAULT_GEOMETRY, PROB_FLOOR, STATE_FAMILIES,
                      InterferometerGeometry, LikelihoodTable, StateCoefficients,
                      likelihood_table, _check_phase, _clamp_probs,
@@ -77,18 +77,17 @@ def heisenberg_limit(n: int) -> float:
     return 1.0 / n
 
 
-def _information_terms(probs: np.ndarray, weight: float, out: np.ndarray = None):
+def _information_terms(probs: np.ndarray, weight: float):
     """Row terms of H and the log ratio L = log2(2pi P_mk / I_m) they use.
 
     H = (w/2pi) sum_mk P_mk L_mk is the ``math.fsum`` of the row terms (row
     sums, whose order no BLAS thread count changes), and dH/dP_mk =
     (w/2pi) L_mk because the terms from differentiating I_m cancel.  L is
-    0 where P = 0.  ``out``, if given, receives L.
+    0 where P = 0.
     """
     totals = weight * probs.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):  # rows with I_m = 0
-        log_ratio = np.multiply((TWO_PI / totals)[:, None], probs, out=out)
-        np.log2(log_ratio, out=log_ratio)
+        log_ratio = np.log2((TWO_PI / totals)[:, None] * probs)
     log_ratio[~(probs > 0.0)] = 0.0
     rows = (weight / TWO_PI) * np.einsum("mk,mk->m", probs, log_ratio)
     return rows, log_ratio
@@ -131,9 +130,8 @@ def fidelity_sweep(state_family, n_max: int = None,
         except KeyError:
             raise ValueError(f"unknown state family {state_family!r}; "
                              "expected 'fock' or 'noon'") from None
-        if n_max is None or not _is_integer(n_max) or n_max < 1:
-            raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
-        states = [builder(n) for n in range(1, int(n_max) + 1)]
+        n_max = _integer(n_max, "n_max", minimum=1)
+        states = [builder(n) for n in range(1, n_max + 1)]
     else:
         states = list(state_family)
         if not states:
@@ -320,9 +318,7 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
     More than ``MAX_COUNT_VECTORS`` vectors (over all outcomes) raise
     ResourceLimitError before anything is enumerated.
     """
-    if not _is_integer(repeats) or repeats < 1:
-        raise ValueError(f"repeats must be a positive integer, got {repeats!r}")
-    repeats = int(repeats)
+    repeats = _integer(repeats, "repeats", minimum=1)
     n_vectors = math.comb(repeats + table.outcome_count - 1, repeats)
     if n_vectors > MAX_COUNT_VECTORS:
         raise ResourceLimitError(f"{n_vectors} compound count vectors exceed the "

@@ -5,12 +5,18 @@ import numpy as np
 DEFAULT_GRID_SIZE = 8192
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` equals an integer (not inf or NaN, which int() rejects)."""
+def _integer(value, name: str, minimum: int = None) -> int:
+    """``value`` as an int, or ValueError naming ``name`` if it is not an
+    integer (8.7, inf, NaN, None, "3") or is below ``minimum``."""
     try:
-        return int(value) == value
-    except (OverflowError, ValueError):
-        return False
+        number = int(value)
+        valid = number == value and (minimum is None or number >= minimum)
+    except (TypeError, OverflowError, ValueError):
+        valid = False
+    if not valid:
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return number
 
 
 class PhaseGrid:
@@ -30,13 +36,9 @@ class PhaseGrid:
     """
 
     def __init__(self, size: int):
-        if not _is_integer(size) or size < 2:
-            raise ValueError(f"phase grid needs an integer number of points, "
-                             f"at least 2, got {size!r}")
-        size = int(size)
-        self.size = size
-        self.points = np.linspace(-np.pi, np.pi, size + 1)[1:]
-        self.weight = 2.0 * np.pi / size
+        self.size = _integer(size, "grid size", minimum=2)
+        self.points = np.linspace(-np.pi, np.pi, self.size + 1)[1:]
+        self.weight = 2.0 * np.pi / self.size
 
     def integrate(self, values: np.ndarray):
         """Periodic trapezoid-rule integral of sampled values over (-pi, pi]."""

@@ -42,7 +42,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .grid import DEFAULT_GRID_SIZE, PhaseGrid, _is_integer
+from .grid import DEFAULT_GRID_SIZE, PhaseGrid, _integer
 
 # probabilities below this are treated as exact zeros (keeps logs clean
 # of subnormal noise downstream)
@@ -80,11 +80,7 @@ class Outcome:
 
     def __post_init__(self):
         for name in ("n_c", "n_d"):
-            value = getattr(self, name)
-            if not _is_integer(value) or value < 0:
-                raise ValueError(f"photon count {name} must be a non-negative "
-                                 f"integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(getattr(self, name), name, minimum=0))
 
     @property
     def total(self) -> int:
@@ -116,7 +112,7 @@ class StateCoefficients:
 
 def fock_state(n: int) -> StateCoefficients:
     """All N photons in port a: c_N = 1."""
-    n = _check_photon_number(n, minimum=0)
+    n = _integer(n, "photon number", minimum=0)
     coeffs = np.zeros(n + 1, dtype=np.complex128)
     coeffs[n] = 1.0
     return StateCoefficients(coeffs, label="fock")
@@ -130,19 +126,13 @@ def noon_state(n: int) -> StateCoefficients:
     even N every outcome probability has period pi in phi (see
     :func:`noon_outcome_prob`).
     """
-    n = _check_photon_number(n, minimum=1)
+    n = _integer(n, "photon number", minimum=1)
     coeffs = np.zeros(n + 1, dtype=np.complex128)
     coeffs[0] = coeffs[n] = 1.0 / math.sqrt(2.0)
     return StateCoefficients(coeffs, label="noon")
 
 
 STATE_FAMILIES = {"fock": fock_state, "noon": noon_state}
-
-
-def _check_photon_number(n, minimum=0) -> int:
-    if not _is_integer(n) or n < minimum:
-        raise ValueError(f"photon number must be an integer >= {minimum}, got {n!r}")
-    return int(n)
 
 
 def _check_phase(phi) -> np.ndarray:
@@ -171,7 +161,7 @@ def fock_outcome_prob(n_total: int, outcome: Outcome, phi):
     P(n_c, n_d | phi) = [N!/(n_c! n_d!)] sin^{2 n_c}(phi/2) cos^{2 n_d}(phi/2)
     when n_c + n_d = N, else 0.  Accepts scalar or array phi.
     """
-    n_total = _check_photon_number(n_total, minimum=0)
+    n_total = _integer(n_total, "photon number", minimum=0)
     phi = _check_phase(phi)
     if outcome.total != n_total:
         return np.zeros_like(phi) if phi.ndim else 0.0
@@ -197,7 +187,7 @@ def noon_outcome_prob(n_total: int, outcome: Outcome, phi):
     to (cos, -sin)(phi/2), which leaves the bracket unchanged, so every
     outcome probability has period pi.
     """
-    n_total = _check_photon_number(n_total, minimum=1)
+    n_total = _integer(n_total, "photon number", minimum=1)
     phi = _check_phase(phi)
     if outcome.total != n_total:
         return np.zeros_like(phi) if phi.ndim else 0.0

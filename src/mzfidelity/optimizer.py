@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fidelity import TWO_PI, _information_terms, mutual_information
-from .grid import DEFAULT_GRID_SIZE, PhaseGrid, _is_integer
+from .grid import DEFAULT_GRID_SIZE, PhaseGrid, _integer
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, StateCoefficients,
-                     _check_photon_number, _clamp_probs, _distinct_rows, _grid_stage,
+                     _clamp_probs, _distinct_rows, _grid_stage,
                      _outcome_amplitudes, _outcome_amplitudes_transpose,
                      fock_state, likelihood_table, noon_state)
 
@@ -62,18 +62,12 @@ class OptimizerConfig:
     report_grid_size: int = DEFAULT_GRID_SIZE
 
     def __post_init__(self):
-        for name in ("restarts", "max_iterations", "seed",
-                     "search_grid_size", "report_grid_size"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
-        if self.restarts < 1 or self.max_iterations < 1:
-            raise ValueError("restarts and max_iterations must be positive")
-        if self.search_grid_size < 2 or self.report_grid_size < 2:
-            raise ValueError("grid sizes must be at least 2")
-        if not self.tol_bits > 0:
-            raise ValueError(f"tol_bits must be positive, got {self.tol_bits!r}")
+        for name, minimum in (("restarts", 1), ("max_iterations", 1), ("seed", None),
+                              ("search_grid_size", 2), ("report_grid_size", 2)):
+            setattr(self, name, _integer(getattr(self, name), name, minimum))
+        # an infinite tolerance makes best_value + tol_bits NaN: no restart is kept
+        if not (math.isfinite(self.tol_bits) and self.tol_bits > 0):
+            raise ValueError(f"tol_bits must be finite and positive, got {self.tol_bits!r}")
 
 
 @dataclass(eq=False)
@@ -125,20 +119,15 @@ def _negative_information(n_photons: int, grid: PhaseGrid,
     rows = _distinct_rows(n_photons, grid.size)
     # rows m < N/2 whose mirrors N-m are left out: multiplicity 2
     doubled = dim - rows
-    # the objective runs hundreds of times per search: reused buffers keep
-    # each call from allocating fresh grid-sized arrays, whose cost depends
-    # on the allocator's state
-    probs = np.empty((rows, grid.size))
-    log_ratio = np.empty((rows, grid.size))
 
     def objective(x: np.ndarray):
         coeffs = x[:dim] + 1j * x[dim:]
         norm = np.linalg.norm(coeffs)
         unit = coeffs / norm
         amps = _outcome_amplitudes(unit, stage, rows)
-        np.abs(amps, out=probs)
+        probs = np.abs(amps)
         np.square(probs, out=probs)
-        terms = _information_terms(_clamp_probs(probs), grid.weight, out=log_ratio)[0]
+        terms, log_ratio = _information_terms(_clamp_probs(probs), grid.weight)
         terms[:doubled] *= 2.0
         h = math.fsum(terms)
         log_ratio[:doubled] *= 2.0
@@ -180,7 +169,7 @@ def optimize_input_state(n_photons: int,
     # function needs it
     from scipy.optimize import minimize
 
-    n_photons = _check_photon_number(n_photons, minimum=1)
+    n_photons = _integer(n_photons, "photon number", minimum=1)
     if config is None:
         config = OptimizerConfig()
 

@@ -239,6 +239,14 @@ def test_optimize_restart_records_in_manifest_only(tmp_path, capsys):
     assert out_path.read_bytes() == first  # bit-identical replay
 
 
+def test_optimize_rejects_infinite_tolerance(capsys):
+    # no restart could beat the incumbent by an infinite margin
+    code, out, err = run_cli(["optimize", "--n", "2", "--restarts", "2",
+                              "--tol-bits", "inf"], capsys)
+    assert code == 2 and "tol_bits" in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -276,6 +284,12 @@ def test_simulate_coincidences_never_drawn(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert all((row[1], row[2]) != ("1", "1") for row in rows)
+
+
+def test_simulate_rejects_no_shots(capsys):
+    code, _, err = run_cli(["simulate", "--state", "fock", "--n", "1",
+                            "--phase", "0.5", "--shots", "0"], capsys)
+    assert code == 2 and "shots must be an integer >= 1" in err
 
 
 def test_simulate_rejects_non_finite_phase(capsys):

@@ -330,6 +330,15 @@ def test_repeated_fock_carries_what_the_total_count_does(n, repeats):
     assert compound.h_bits == pytest.approx(direct.h_bits, abs=1e-12)
 
 
+def test_three_outcome_repeats_hold_at_many_uses():
+    # 600 uses of |2,0> carry what 1200 uses of |1,0> do (the total n_c is
+    # sufficient for both); with three outcomes the split H(V) - H(V|phi)
+    # must hold that to about 2e-12 bits even at R = 600
+    compound = repeated_mutual_information(likelihood_table(fock_state(2)), 600)
+    direct = repeated_mutual_information(likelihood_table(fock_state(1)), 1200)
+    assert compound.h_bits == pytest.approx(direct.h_bits, abs=4e-12)
+
+
 @pytest.mark.parametrize("family", ["fock", "noon"])
 @pytest.mark.parametrize("n,repeats", [(1, 1200), (2, 50), (3, 20)])
 def test_repeats_match_long_double_reference(family, n, repeats, holevo_bits):

@@ -64,23 +64,26 @@ def test_outcome_validation():
         Outcome(1.5, 0)
 
 
-# each documented integer check, called with a value that int() cannot
-# convert (it raises OverflowError for an infinity)
+# each documented integer check, called with a value that is no integer:
+# int() raises OverflowError for an infinity, ValueError for NaN and
+# TypeError for None, and "3" and 2.5 convert but do not equal their int
 _INTEGER_CHECKS = {
-    "fock_state": (fock_state, "photon number must be an integer"),
-    "Outcome": (lambda x: Outcome(x, 0), "photon count n_c must be a non-negative integer"),
+    "PhaseGrid": (PhaseGrid, "grid size must be an integer >= 2"),
+    "fock_state": (fock_state, "photon number must be an integer >= 0"),
+    "Outcome": (lambda x: Outcome(x, 0), "n_c must be an integer >= 0"),
     "fidelity_sweep": (lambda x: fidelity_sweep("fock", n_max=x),
-                       "n_max must be a positive integer"),
+                       "n_max must be an integer >= 1"),
     "repeated_mutual_information": (
         lambda x: repeated_mutual_information(likelihood_table(fock_state(1), grid_size=8), x),
-        "repeats must be a positive integer"),
+        "repeats must be an integer >= 1"),
     "simulate_sequence": (lambda x: simulate_sequence(fock_state(1), shots=x),
-                          "shots must be a positive integer"),
-    "OptimizerConfig": (lambda x: OptimizerConfig(restarts=x), "restarts must be an integer"),
+                          "shots must be an integer >= 1"),
+    "OptimizerConfig": (lambda x: OptimizerConfig(restarts=x),
+                        "restarts must be an integer >= 1"),
 }
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, None, "3", 2.5])
 @pytest.mark.parametrize("check", sorted(_INTEGER_CHECKS))
 def test_integer_checks_reject_non_finite_values(check, value):
     call, message = _INTEGER_CHECKS[check]
@@ -521,7 +524,7 @@ def test_table_rows_mirror_by_half_a_period(n, geometry):
 
 def test_table_grid_size_validation():
     # a size that is not a finite integer is refused, not truncated or overflowed
-    message = "integer number of points, at least 2"
+    message = "grid size must be an integer >= 2"
     for size in (1, 8.7, math.inf, math.nan):
         with pytest.raises(ValueError, match=message):
             PhaseGrid(size)

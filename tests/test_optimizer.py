@@ -71,6 +71,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(tol_bits=0.0)
     with pytest.raises(ValueError):
+        OptimizerConfig(tol_bits=math.inf)  # would keep no restart
+    with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=-5)
 
 
