@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--seed", type=int, default=OptimizerConfig.seed)
     opt.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
     opt.add_argument("--max-iter", type=int, default=OptimizerConfig.max_iterations,
-                     help="L-BFGS-B iteration limit of each restart "
+                     help="L-BFGS iteration limit of each restart "
                           "(default %(default)s)")
     opt.add_argument("--tol-bits", type=float, default=OptimizerConfig.tol_bits,
                      help="a restart stops when an iteration improves H by "

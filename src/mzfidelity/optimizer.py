@@ -25,14 +25,17 @@ half the grid (swapping the output ports is a phase shift of pi; see
 :mod:`~mzfidelity.optics`), so its terms in H and g equal row m's: only
 the rows m <= N/2 are computed, the terms of each m < N/2 count twice
 (mu_m = 2) and the middle row m = N/2 of an even N, its own mirror,
-once.  Each restart is an L-BFGS-B search (Byrd, Lu, Nocedal
-and Zhu, SIAM J. Sci. Comput. 16, 1190 (1995)) on the coarse search
-grid.  The first two restarts always start from the two benchmark states
-(all photons in one port, and the two-sided superposition), so the
-reported optimum can never fall below either benchmark.
+once.  Each restart is an L-BFGS search (Liu and Nocedal, Math. Prog. 45,
+503 (1989)) on the coarse search grid, with a strong Wolfe line search
+(Nocedal and Wright, *Numerical Optimization*, section 3.5).  It stops when
+an iteration lowers -H by at most ``tol_bits`` relative to max(|H_k|,
+|H_k+1|, 1), or when no gradient component exceeds GRADIENT_TOL.  The first
+two restarts start from the two benchmark states (all photons in one port,
+and the two-sided superposition), so the optimum never falls below either.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +49,10 @@ from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, StateCoefficients
 
 ZERO_NORM_TOL = 1e-15
 FIRST_NONZERO_TOL = 1e-12
+HISTORY_SIZE = 10             # correction pairs the search keeps
+WOLFE_DECREASE, WOLFE_CURVATURE = 1e-4, 0.9  # c1 and c2 of the strong Wolfe conditions
+GRADIENT_TOL = 1e-5           # a restart ends once no |dH/dx| is larger
+LINE_SEARCH_EVALUATIONS = 20  # a line search that needs more fails
 
 
 @dataclass
@@ -78,7 +85,8 @@ class OptimizationResult:
     best_h_bits: float
     history: list = field(default_factory=list)
     evaluations: int = 0
-    # one {"success", "nit", "nfev", "message"} record per restart
+    # one {"success", "nit", "nfev", "message"} record per restart; message is "H
+    # converged", "gradient converged", "iteration limit" or "line search failed"
     restarts: list = field(default_factory=list)
 
 
@@ -142,21 +150,87 @@ def _negative_information(n_photons: int, grid: PhaseGrid,
     return objective
 
 
+def _wolfe_step(fun, x, f, g, direction, step):
+    """(step, value, gradient, evaluations) of a strong Wolfe step along
+    ``direction``, step None if LINE_SEARCH_EVALUATIONS evaluations find none:
+    the step grows fourfold until it brackets one, then moves to the minimizer
+    of the cubic through the bracket's ends, or to their midpoint if that is
+    not well inside (Nocedal and Wright, Algorithms 3.5-3.6 and eq. (3.59))."""
+    slope = float(g @ direction)
+    lo, hi = (0.0, f, slope), None
+    for evaluations in range(1, LINE_SEARCH_EVALUATIONS + 1):
+        value, gradient = fun(x + step * direction)
+        trial = (step, value, float(gradient @ direction))
+        if value > f + WOLFE_DECREASE * step * slope or value >= lo[1]:
+            hi = trial
+        elif abs(trial[2]) <= -WOLFE_CURVATURE * slope:
+            return step, value, gradient, evaluations
+        else:
+            if trial[2] * (1.0 if hi is None else hi[0] - lo[0]) >= 0.0:
+                hi = lo  # the slope changes sign between lo and the trial
+            lo = trial
+        if hi is None:
+            step *= 4.0
+            continue
+        (a, f_a, s_a), (b, f_b, s_b) = lo, hi
+        d1 = s_a + s_b - 3.0 * (f_a - f_b) / (a - b)
+        d2 = math.copysign(math.sqrt(max(d1 * d1 - s_a * s_b, 0.0)), b - a)
+        # a zero denominator gives NaN, so the midpoint
+        cubic = b - (b - a) * (s_b + d2 - d1) / ((s_b - s_a + 2.0 * d2) or math.nan)
+        step = cubic if abs(cubic - (a + b) / 2) <= 0.4 * abs(b - a) else (a + b) / 2
+    return None, None, None, LINE_SEARCH_EVALUATIONS
+
+
+def _lbfgs(fun, x, max_iterations, tol_bits):
+    """Minimize ``fun(x) -> (value, gradient)`` from ``x``: (x, value, record)."""
+    (f, g), nit, nfev = fun(x), 0, 1
+    f_old, pairs, message = f, deque(maxlen=HISTORY_SIZE), None
+    while message is None:
+        if np.abs(g).max() <= GRADIENT_TOL:
+            message = "gradient converged"
+        elif nit and f_old - f <= tol_bits * max(abs(f_old), abs(f), 1.0):
+            message = "H converged"
+        elif nit >= max_iterations:
+            message = "iteration limit"
+        else:
+            # two-loop recursion: direction = -H g, H from the stored pairs
+            direction, alphas = -g, []
+            for s, y, sy in reversed(pairs):
+                alphas.append((s @ direction) / sy)
+                direction -= alphas[-1] * y
+            if pairs:
+                direction *= pairs[-1][2] / (pairs[-1][1] @ pairs[-1][1])
+            for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
+                direction += (alpha - (y @ direction) / sy) * s
+            step, f_new, g_new, evaluations = _wolfe_step(
+                fun, x, f, g, direction, 1.0 / np.linalg.norm(g) if nit == 0 else 1.0)
+            nfev += evaluations
+            if step is None:
+                message = "line search failed"
+            else:
+                s, y = step * direction, g_new - g
+                if s @ y > 0.0:
+                    pairs.append((s, y, s @ y))
+                x, f_old, f, g, nit = x + s, f, f_new, g_new, nit + 1
+    return x, f, {"success": message.endswith("converged"), "nit": nit, "nfev": nfev,
+                  "message": message}
+
+
 def optimize_input_state(n_photons: int,
                          config: OptimizerConfig = None,
                          geometry: InterferometerGeometry = DEFAULT_GEOMETRY
                          ) -> OptimizationResult:
     """Maximize the fidelity over all unit-norm input coefficient vectors.
 
-    Runs ``config.restarts`` independent L-BFGS-B searches with the
-    analytic gradient on the coarse search grid and re-evaluates the
-    winner on the reporting grid.  Each search stops after
-    ``config.max_iterations`` iterations or when an iteration improves H
-    by less than ``config.tol_bits`` relative to max(|H|, 1).  A later
-    restart replaces the incumbent only if it beats it by more than
-    ``config.tol_bits``.  Deterministic for a fixed seed.  Restarts that
-    hit the iteration budget are kept (their best value still enters the
-    history, and their record says ``success: False``).
+    Runs ``config.restarts`` independent L-BFGS searches with the analytic
+    gradient on the coarse search grid and re-evaluates the winner on the
+    reporting grid.  Each search stops after ``config.max_iterations``
+    iterations, when an iteration lowers -H by at most ``config.tol_bits``
+    relative to max(|H_k|, |H_k+1|, 1), or when no gradient component exceeds
+    GRADIENT_TOL (1e-5).  A later restart replaces the incumbent only if it
+    beats it by more than ``config.tol_bits``.  Deterministic for a fixed
+    seed.  Every restart enters the history; its record says ``success:
+    False`` if it hit the iteration budget or its line search failed.
 
     Returns
     -------
@@ -165,10 +239,6 @@ def optimize_input_state(n_photons: int,
         and ``restarts`` each restart's convergence record;
         ``best_h_bits`` is the winner re-evaluated on the reporting grid.
     """
-    # scipy.optimize costs most of the package's import time; only this
-    # function needs it
-    from scipy.optimize import minimize
-
     n_photons = _integer(n_photons, "photon number", minimum=1)
     if config is None:
         config = OptimizerConfig()
@@ -176,24 +246,16 @@ def optimize_input_state(n_photons: int,
     dim = n_photons + 1
     objective = _negative_information(n_photons, PhaseGrid(config.search_grid_size),
                                       geometry)
-    best_x = None
-    best_value = -np.inf
-    history = []
-    restarts = []
+    best_x, best_value, history, restarts = None, -np.inf, [], []
     for start in _seed_vectors(n_photons, config):
-        x0 = np.concatenate([start.real, start.imag])
-        result = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                          options={"maxiter": config.max_iterations,
-                                   "ftol": config.tol_bits})
-        h_found = -float(result.fun)
-        history.append(h_found)
-        restarts.append({"success": bool(result.success), "nit": int(result.nit),
-                         "nfev": int(result.nfev), "message": str(result.message)})
+        x, value, record = _lbfgs(objective, np.concatenate([start.real, start.imag]),
+                                  config.max_iterations, config.tol_bits)
+        history.append(-value)
+        restarts.append(record)
         # the optimum is often a continuous family of equal-H states, so a
         # later restart must beat the incumbent by more than the tolerance
-        if h_found > best_value + config.tol_bits:
-            best_value = h_found
-            best_x = result.x
+        if -value > best_value + config.tol_bits:
+            best_x, best_value = x, -value
 
     best_state = project_normalize(best_x[:dim] + 1j * best_x[dim:])
     report = mutual_information(

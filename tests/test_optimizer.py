@@ -16,7 +16,8 @@ from mzfidelity import (DEFAULT_GEOMETRY, InterferometerGeometry, OptimizerConfi
                         mutual_information, noon_state, optimize_input_state,
                         project_normalize)
 from mzfidelity.cli import MAX_PHOTONS
-from mzfidelity.optimizer import _negative_information
+from mzfidelity.optimizer import (GRADIENT_TOL, _lbfgs, _negative_information,
+                                  _wolfe_step)
 
 H_SINGLE_PHOTON = 1.0 / np.log(2.0) - 1.0
 
@@ -221,19 +222,108 @@ def test_default_search_grid_finds_the_fine_search_optimum(n):
                              abs=coarse.tol_bits))
 
 
+MESSAGES = {"H converged": True, "gradient converged": True,
+            "iteration limit": False, "line search failed": False}
+
+
+def _assert_record(record, message, nit=None):
+    assert set(record) == {"success", "nit", "nfev", "message"}
+    assert record["message"] == message
+    assert record["success"] is MESSAGES[message]
+    assert nit is None or record["nit"] == nit
+
+
 def test_restart_records():
     result = optimize_input_state(2, SMALL)
     assert len(result.restarts) == SMALL.restarts
     for record in result.restarts:
-        assert set(record) == {"success", "nit", "nfev", "message"}
+        _assert_record(record, record["message"])
+        assert record["message"] in ("H converged", "gradient converged")
         assert record["nit"] <= SMALL.max_iterations
     assert result.evaluations == sum(record["nfev"] for record in result.restarts)
+    # one iteration from a random seed stops on the budget, not converged
+    one = optimize_input_state(2, OptimizerConfig(restarts=3, max_iterations=1, seed=7))
+    _assert_record(one.restarts[2], "iteration limit", nit=1)
+    assert optimize_input_state(2, SMALL).restarts == result.restarts
+
+
+def _quadratic(x):
+    scales = np.array([1.0, 10.0, 100.0])
+    return 0.5 * float(scales @ x ** 2), scales * x
+
+
+def test_lbfgs_stopping_rules():
+    x0 = np.ones(3)
+    x, value, record = _lbfgs(_quadratic, x0, 100, 1e-300)
+    _assert_record(record, "gradient converged")
+    assert np.abs(_quadratic(x)[1]).max() <= GRADIENT_TOL and value == _quadratic(x)[0]
+    # a relative reduction of at most 1 always holds for a non-negative value
+    _assert_record(_lbfgs(_quadratic, x0, 100, 1.0)[2], "H converged", nit=1)
+    _assert_record(_lbfgs(_quadratic, x0, 1, 1e-300)[2], "iteration limit", nit=1)
+    # a gradient of the wrong sign: no step along -g lowers the value
+    x, value, record = _lbfgs(lambda x: (_quadratic(x)[0], -_quadratic(x)[1]), x0, 100, 1e-7)
+    _assert_record(record, "line search failed", nit=0)
+    assert np.array_equal(x, x0) and record["nfev"] == 21
+
+
+def test_wolfe_step_grows_fourfold_then_interpolates():
+    def parabola(centre):
+        return lambda x: (float((x[0] - centre) ** 2), 2.0 * (x - centre))
+
+    x, direction = np.zeros(1), np.ones(1)
+    # slope -200 at 0: steps 1 and 4 keep too steep a slope, 16 is accepted
+    fun = parabola(100.0)
+    step, value, _, evaluations = _wolfe_step(fun, x, *fun(x), direction, 1.0)
+    assert (step, value, evaluations) == (16.0, 84.0 ** 2, 3)
+    # 4 overshoots the minimum at 1; the cubic through both ends is exact
+    fun = parabola(1.0)
+    step, _, _, evaluations = _wolfe_step(fun, x, *fun(x), direction, 4.0)
+    assert step == pytest.approx(1.0, abs=1e-12) and evaluations == 2
+
+
+def test_lbfgs_first_trial_step_is_one_over_gradient_norm():
+    points = []
+
+    def recorded(x):
+        points.append(x)
+        return _quadratic(x)
+
+    x0 = np.array([0.3, 0.4, 0.0])
+    gradient = _quadratic(x0)[1]
+    _lbfgs(recorded, x0, 1, 1e-7)
+    np.testing.assert_allclose(points[1], x0 - gradient / np.linalg.norm(gradient),
+                               rtol=1e-15)
+
+
+def test_lbfgs_minimizes_rosenbrock():
+    def rosenbrock(x):
+        value = (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+        grad = np.array([-2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2),
+                         200.0 * (x[1] - x[0] ** 2)])
+        return value, grad
+
+    x, value, record = _lbfgs(rosenbrock, np.array([-1.2, 1.0]), 200, 1e-300)
+    _assert_record(record, "gradient converged")
+    np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-4)
+    assert record["nfev"] < 60
+
+
+# default-config (seed 0, 16 restarts) optimum and evaluations of the
+# L-BFGS-B search this one replaced
+@pytest.mark.parametrize("n,h_bits,evaluations", [(12, 1.9400289319822162, 292),
+                                                  (40, 2.925792437374593, 316)])
+def test_default_optimum_holds(n, h_bits, evaluations):
+    result = optimize_input_state(n)
+    assert result.best_h_bits == pytest.approx(h_bits, abs=OptimizerConfig.tol_bits)
+    assert result.evaluations <= 1.2 * evaluations
 
 
 def test_import_leaves_scipy_unloaded():
     src = str(Path(mzfidelity.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import mzfidelity, sys; "
+            "assert not any(m.startswith('scipy') for m in sys.modules); "
+            "mzfidelity.optimize_input_state(3, mzfidelity.OptimizerConfig(restarts=2)); "
             "assert not any(m.startswith('scipy') for m in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code],
                             env=dict(os.environ, PYTHONPATH=path),
