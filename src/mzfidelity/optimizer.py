@@ -36,7 +36,7 @@ and the two-sided superposition), so the optimum never falls below either.
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,6 +53,9 @@ HISTORY_SIZE = 10             # correction pairs the search keeps
 WOLFE_DECREASE, WOLFE_CURVATURE = 1e-4, 0.9  # c1 and c2 of the strong Wolfe conditions
 GRADIENT_TOL = 1e-5           # a restart ends once no |dH/dx| is larger
 LINE_SEARCH_EVALUATIONS = 20  # a line search that needs more fails
+# the default search grid: SMALL_SEARCH_GRID points while that is at least
+# SEARCH_POINTS_PER_OUTCOME per outcome (N <= 15), else LARGE_SEARCH_GRID
+SMALL_SEARCH_GRID, LARGE_SEARCH_GRID, SEARCH_POINTS_PER_OUTCOME = 512, 1024, 32
 
 
 @dataclass
@@ -63,18 +66,32 @@ class OptimizerConfig:
     max_iterations: int = 2000
     tol_bits: float = 1e-7
     seed: int = 0
-    # measured for N <= 200: the optimum this search reports on the report
-    # grid is at most 3e-8 bits below a 4096-point search's, under tol_bits
-    search_grid_size: int = 1024
+    # None: 512 points up to N = 15, 1024 above (see resolved).  Measured at
+    # the other defaults, seeds 0-3: for N <= 15 the optimum this search
+    # reports on the report grid is at most 6.1e-8 bits below a 4096-point
+    # search's, under tol_bits; kept up to N = 63 (8 points per outcome) it
+    # falls up to 3.5e-7 below, at N = 45, also at tol_bits 1e-11
+    search_grid_size: int = None
     report_grid_size: int = DEFAULT_GRID_SIZE
 
     def __post_init__(self):
-        for name, minimum in (("restarts", 1), ("max_iterations", 1), ("seed", None),
-                              ("search_grid_size", 2), ("report_grid_size", 2)):
+        names = [("restarts", 1), ("max_iterations", 1), ("seed", None),
+                 ("report_grid_size", 2)]
+        if self.search_grid_size is not None:  # None is sized from N by resolved
+            names.append(("search_grid_size", 2))
+        for name, minimum in names:
             setattr(self, name, _integer(getattr(self, name), name, minimum))
         # an infinite tolerance makes best_value + tol_bits NaN: no restart is kept
         if not (math.isfinite(self.tol_bits) and self.tol_bits > 0):
             raise ValueError(f"tol_bits must be finite and positive, got {self.tol_bits!r}")
+
+    def resolved(self, n_photons: int) -> "OptimizerConfig":
+        """This config with the search grid the search runs on for N photons."""
+        if self.search_grid_size is not None:
+            return self
+        small = SEARCH_POINTS_PER_OUTCOME * (n_photons + 1) <= SMALL_SEARCH_GRID
+        return replace(self,
+                       search_grid_size=SMALL_SEARCH_GRID if small else LARGE_SEARCH_GRID)
 
 
 @dataclass(eq=False)
@@ -88,6 +105,7 @@ class OptimizationResult:
     # one {"success", "nit", "nfev", "message"} record per restart; message is "H
     # converged", "gradient converged", "iteration limit" or "line search failed"
     restarts: list = field(default_factory=list)
+    search_grid_size: int = None  # the grid the search ran on
 
 
 def project_normalize(raw) -> StateCoefficients:
@@ -224,24 +242,27 @@ def optimize_input_state(n_photons: int,
 
     Runs ``config.restarts`` independent L-BFGS searches with the analytic
     gradient on the coarse search grid and re-evaluates the winner on the
-    reporting grid.  Each search stops after ``config.max_iterations``
-    iterations, when an iteration lowers -H by at most ``config.tol_bits``
-    relative to max(|H_k|, |H_k+1|, 1), or when no gradient component exceeds
-    GRADIENT_TOL (1e-5).  A later restart replaces the incumbent only if it
-    beats it by more than ``config.tol_bits``.  Deterministic for a fixed
-    seed.  Every restart enters the history; its record says ``success:
-    False`` if it hit the iteration budget or its line search failed.
+    reporting grid.  Unless ``config.search_grid_size`` is given, the search
+    grid has 512 points while that is at least 32 per outcome (N <= 15),
+    else 1024 (:meth:`OptimizerConfig.resolved`).  Each search stops after
+    ``config.max_iterations`` iterations, when an iteration lowers -H by at
+    most ``config.tol_bits`` relative to max(|H_k|, |H_k+1|, 1), or when no
+    gradient component exceeds GRADIENT_TOL (1e-5).  A later restart
+    replaces the incumbent only if it beats it by more than
+    ``config.tol_bits``.  Deterministic for a fixed seed.  Every restart
+    enters the history; its record says ``success: False`` if it hit the
+    iteration budget or its line search failed.
 
     Returns
     -------
     OptimizationResult
         ``history`` holds one best-found value per restart (search grid)
         and ``restarts`` each restart's convergence record;
-        ``best_h_bits`` is the winner re-evaluated on the reporting grid.
+        ``best_h_bits`` is the winner re-evaluated on the reporting grid;
+        ``search_grid_size`` is the search grid's size.
     """
     n_photons = _integer(n_photons, "photon number", minimum=1)
-    if config is None:
-        config = OptimizerConfig()
+    config = (config or OptimizerConfig()).resolved(n_photons)
 
     dim = n_photons + 1
     objective = _negative_information(n_photons, PhaseGrid(config.search_grid_size),
@@ -263,4 +284,5 @@ def optimize_input_state(n_photons: int,
     return OptimizationResult(best_state=best_state, best_h_bits=report.h_bits,
                               history=history,
                               evaluations=sum(r["nfev"] for r in restarts),
-                              restarts=restarts)
+                              restarts=restarts,
+                              search_grid_size=config.search_grid_size)

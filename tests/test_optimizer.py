@@ -1,5 +1,6 @@
 """Coefficient projection, the objective's gradient and the fidelity maximizer."""
 
+import json
 import math
 import os
 import subprocess
@@ -15,7 +16,7 @@ from mzfidelity import (DEFAULT_GEOMETRY, InterferometerGeometry, OptimizerConfi
                         PhaseGrid, StateCoefficients, fock_state, likelihood_table,
                         mutual_information, noon_state, optimize_input_state,
                         project_normalize)
-from mzfidelity.cli import MAX_PHOTONS
+from mzfidelity.cli import MAX_PHOTONS, main
 from mzfidelity.optimizer import (GRADIENT_TOL, _lbfgs, _negative_information,
                                   _wolfe_step)
 
@@ -212,14 +213,35 @@ def test_optimizer_works_at_photon_cap(holevo_bits):
     _assert_under_holevo_bound(result, holevo_bits(result.best_state.coeffs))
 
 
-@pytest.mark.parametrize("n", [12, 40])
+@pytest.mark.parametrize("n", [12, 15, 16, 32, 40, 63, 64])
 def test_default_search_grid_finds_the_fine_search_optimum(n):
     coarse = OptimizerConfig(restarts=2, seed=7)
     fine = OptimizerConfig(restarts=2, seed=7, search_grid_size=4096)
-    assert coarse.search_grid_size < fine.search_grid_size
+    assert coarse.resolved(n).search_grid_size < fine.search_grid_size
     assert (optimize_input_state(n, coarse).best_h_bits
             == pytest.approx(optimize_input_state(n, fine).best_h_bits,
                              abs=coarse.tol_bits))
+
+
+def test_search_grid_follows_photon_number(tmp_path):
+    # 512 points while 32(N+1) <= 512, then 1024; an explicit grid is kept
+    assert OptimizerConfig().resolved(15).search_grid_size == 512
+    for n in (16, 63, 64):
+        assert OptimizerConfig().resolved(n).search_grid_size == 1024
+    assert OptimizerConfig(search_grid_size=4096).resolved(3).search_grid_size == 4096
+    with pytest.raises(ValueError, match="search_grid_size"):
+        OptimizerConfig(search_grid_size=1)
+    # the former default grid at N=12 gives the former default optimum
+    result = optimize_input_state(12, OptimizerConfig(search_grid_size=1024))
+    assert repr(result.best_h_bits) == "1.9400289319822164"
+    assert result.evaluations == 300 and result.search_grid_size == 1024
+    assert optimize_input_state(12).search_grid_size == 512
+    # the primary JSON and the manifest name the grid that ran
+    out = tmp_path / "opt.json"
+    assert main(["optimize", "--n", "3", "--restarts", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["search_grid_size"] == 512
+    manifest = json.loads((tmp_path / "opt.json.manifest.json").read_text())
+    assert manifest["parameters"]["search_grid"] == 512
 
 
 MESSAGES = {"H converged": True, "gradient converged": True,
