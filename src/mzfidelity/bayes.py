@@ -87,10 +87,9 @@ def posterior_for_outcome(table: LikelihoodTable, outcome: Outcome) -> PhasePost
 
 
 def _wrap_angle(x: float) -> float:
-    # map to (-pi, pi]
+    # map x > -pi (count_peaks passes a grid point plus a non-negative
+    # offset) to (-pi, pi]: fmod of x + pi > 0 is never negative
     y = math.fmod(x + math.pi, 2.0 * math.pi)
-    if y < 0:
-        y += 2.0 * math.pi
     y -= math.pi
     return math.pi if y == -math.pi else y
 

@@ -286,19 +286,19 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
     Enumeration is exact.  A vector that counts an outcome with P = 0 at
     every phase has probability 0 everywhere and adds exactly 0 to H and
     to the column sums, so only vectors over the possible outcomes are
-    enumerated.  With at most two possible outcomes the compound
-    distribution is itself binomial, and vector v adds the term
-    (mu_v w/2pi) [log2(e) sum_k P_vk L_vk + S_v log2(2pi / (w S_v))],
-    S_v = sum_k P_vk (0 if S_v = 0), summed on the full grid.  With three
-    or more, H = H(V) - H(V|phi), split exactly:
+    enumerated.  H = H(V) - H(V|phi), split exactly:
 
-    * H(V) = -sum_v mu_v Q_v log2 Q_v, Q_v = S_v / M', on a subgrid of M'
-      of the M points (:func:`_exact_subgrid`).  P_v is a trigonometric
-      polynomial of degree N R if the table's rows are band-limited to
-      degree N, and then the trapezoid rule on any M' > N R points gives
-      the same Q_v as the full grid, up to roundoff.
-    * H(V|phi) = -(1/M) sum_k sum_v P_v ln P_v / ln 2, from the binomial
-      marginals at each grid point, with no count vector at all
+    * H(V) = -sum_v mu_v Q_v log2 Q_v, Q_v = S_v / M', S_v = sum_k P_vk
+      over M' of the M points (0 if S_v = 0).  With at most two possible
+      outcomes M' = M.  With three or more it is a subgrid
+      (:func:`_exact_subgrid`): P_v is a trigonometric polynomial of
+      degree N R if the table's rows are band-limited to degree N, and
+      then the trapezoid rule on any M' > N R points gives the same Q_v as
+      the full grid, up to roundoff.
+    * H(V|phi) = -(1/M) sum_k sum_v P_vk ln P_vk / ln 2 has two sources.
+      With at most two possible outcomes it is summed from the same
+      vectors, on the full grid.  With three or more it comes from the
+      binomial marginals at each grid point, with no count vector at all
       (:func:`_mean_compound_p_log_p`).
 
     H is the ``math.fsum`` of the terms.  If the table's rows, reversed,
@@ -313,8 +313,8 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
     (mu_v/2) P_v.  Otherwise (an odd grid, a table built by hand that does
     not mirror) every vector has mu_v = 1.  Blocks of about 1 MiB of
     vectors are enumerated, evaluated (:func:`_stream_compound`) and
-    reduced to their terms (sum_k P_vk L_vk on the binomial path only), so
-    one double per evaluated vector outlives its block.
+    reduced to their terms (of H(V|phi) too with at most two outcomes), so
+    at most two doubles per evaluated vector outlive its block.
     More than ``MAX_COUNT_VECTORS`` vectors (over all outcomes) raise
     ResourceLimitError before anything is enumerated.
     """
@@ -335,14 +335,12 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
             probs[:, stride - 1::stride], repeats, mirrored):
         column_sums += np.einsum("v,vk->k", multiplicity, compound)
         mass = compound.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):  # vectors with S_v = 0
-            if binomial:
-                rows = np.where(mass > 0.0, LOG2_E * np.einsum("vk,vk->v", compound, log_compound)
-                                + mass * np.log2(TWO_PI / (table.grid.weight * mass)), 0.0)
-                terms.append(rows * multiplicity * (table.grid.weight / TWO_PI))
-            else:  # Q_v = S_v / M'
-                mass /= subgrid
-                terms.append(np.where(mass > 0.0, -multiplicity * mass * np.log2(mass), 0.0))
+        mass /= subgrid  # Q_v = S_v / M'
+        with np.errstate(divide="ignore", invalid="ignore"):  # vectors with Q_v = 0
+            terms.append(np.where(mass > 0.0, -multiplicity * mass * np.log2(mass), 0.0))
+        if binomial:  # -H(V|phi) from the same vectors, M' = M
+            terms.append((LOG2_E / subgrid) * multiplicity
+                         * np.einsum("vk,vk->v", compound, log_compound))
     del log_compound, compound  # free the last block before H(V|phi) allocates
     if mirrored:  # h + h rolled by half a period, h = (1/2) sum_v mu_v P_v
         column_sums = 0.5 * (column_sums + np.roll(column_sums, subgrid // 2))

@@ -27,10 +27,15 @@ from mzfidelity import (Outcome, OptimizerConfig, StateCoefficients,
                         noon_state, optimize_input_state, posterior_for_outcome,
                         repeated_mutual_information, simulate_sequence,
                         standard_limit)
+from mzfidelity.cli import MAX_PHOTONS
 
 H_SINGLE_PHOTON = 1.0 / math.log(2.0) - 1.0
 N_MAX = 25
 GRID = 8192
+# the whole documented range; the orderings hold on 1024 points, whose
+# quadrature error (under 1e-6 bits at N = 200) is far below the smallest
+# step (0.0035 bits)
+WIDE_GRID = 1024
 
 
 def _report(criterion: str, passed: bool, detail: str):
@@ -43,6 +48,13 @@ def sweeps():
     fock = fidelity_sweep("fock", N_MAX, GRID)
     noon = fidelity_sweep("noon", N_MAX, GRID)
     return fock, noon, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def wide_sweeps():
+    fock = [r.h_bits for r in fidelity_sweep("fock", MAX_PHOTONS, WIDE_GRID)]
+    noon = [r.h_bits for r in fidelity_sweep("noon", MAX_PHOTONS, WIDE_GRID)]
+    return fock, noon
 
 
 def test_criterion_01_closed_form_equivalence():
@@ -112,12 +124,28 @@ def test_criterion_05a_family_ordering(sweeps):
     assert elapsed < 60.0
 
 
+def test_criterion_05a_family_ordering_to_max_photons(wide_sweeps):
+    fock, noon = wide_sweeps
+    gap = min(f - n for f, n in zip(fock[1:], noon[1:]))
+    _report("5a", gap > 0.0, f"H_fock(N) > H_noon(N) for N in 2..{MAX_PHOTONS} "
+            f"(min gap {gap:.4f} bits at grid {WIDE_GRID})")
+    assert gap > 0.0
+
+
 def test_criterion_05b_fock_monotone(sweeps):
     fock, _, _ = sweeps
     values = [r.h_bits for r in fock]
     increasing = all(b > a for a, b in zip(values, values[1:]))
     _report("5b", increasing, "one-port input: H strictly increasing in N")
     assert increasing
+
+
+def test_criterion_05b_fock_monotone_to_max_photons(wide_sweeps):
+    fock, _ = wide_sweeps
+    step = min(b - a for a, b in zip(fock, fock[1:]))
+    _report("5b", step > 0.0, f"one-port input: H strictly increasing in N to "
+            f"{MAX_PHOTONS} (min step {step:.4f} bits)")
+    assert step > 0.0
 
 
 def test_criterion_05c_noon_monotone(sweeps):
@@ -168,6 +196,23 @@ def test_criterion_05c_noon_monotone(sweeps):
                       f"odd-N pi shift {odd_shift:.3g} (want > 0.1)")
     assert parity_monotone, f"same-parity step {min(steps):.3g} bits <= 0"
     assert alternating, f"even-N gap {min(gaps):.3g} bits <= 0"
+
+
+def test_criterion_05c_noon_parities_to_max_photons(wide_sweeps):
+    # 5c's orderings over the whole range: each parity rises strictly, and
+    # every even N lies below its odd neighbours (only N - 1 for the last)
+    _, noon = wide_sweeps
+    h = dict(enumerate(noon, start=1))
+    steps = {parity: min(h[n + 2] - h[n] for n in range(parity, MAX_PHOTONS - 1, 2))
+             for parity in (1, 2)}
+    gap = min(min(h[n - 1], h.get(n + 1, math.inf)) - h[n]
+              for n in range(2, MAX_PHOTONS + 1, 2))
+    _report("5c", min(steps.values()) > 0.0 and gap > 0.0,
+            f"to N={MAX_PHOTONS}: odd and even N each strictly increasing "
+            f"(min steps {steps[1]:.4f}, {steps[2]:.4f}); even N below odd "
+            f"neighbours (min gap {gap:.4f})")
+    assert steps[1] > 0.0 and steps[2] > 0.0, f"same-parity steps {steps} bits"
+    assert gap > 0.0, f"even-N gap {gap:.3g} bits <= 0"
 
 
 def test_criterion_06_peak_count_ranges():
@@ -229,6 +274,18 @@ def test_criterion_09_grid_convergence(sweeps):
             fine = mutual_information(likelihood_table(state, grid_size=2 * GRID))
             worst = max(worst, abs(coarse.h_bits - fine.h_bits))
     _report("9", worst < 1e-8, f"max |H(8192) - H(16384)| = {worst:.3e}")
+    assert worst < 1e-8
+
+
+def test_criterion_09_grid_convergence_to_max_photons():
+    worst = 0.0
+    for n in (MAX_PHOTONS // 2, MAX_PHOTONS):
+        for state in (fock_state(n), noon_state(n)):
+            coarse, fine = (mutual_information(likelihood_table(state, grid_size=size)).h_bits
+                            for size in (GRID, 2 * GRID))
+            worst = max(worst, abs(coarse - fine))
+    _report("9", worst < 1e-8, f"N = {MAX_PHOTONS // 2}, {MAX_PHOTONS}: "
+            f"max |H(8192) - H(16384)| = {worst:.3e}")
     assert worst < 1e-8
 
 

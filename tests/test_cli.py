@@ -4,10 +4,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mzfidelity
 from mzfidelity import cli
 from mzfidelity.cli import main
 
@@ -24,6 +29,21 @@ def parse_csv(text):
     reader = csv.reader(io.StringIO(text))
     records = list(reader)
     return records[0], records[1:]
+
+
+def test_module_entry_point_exit_codes():
+    # python -m mzfidelity passes main's exit code to the process
+    src = str(Path(mzfidelity.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    version = subprocess.run([sys.executable, "-m", "mzfidelity", "--version"],
+                             env=env, capture_output=True, text=True)
+    assert version.returncode == 0, version.stderr
+    assert version.stdout == f"mzfidelity {mzfidelity.__version__}\n"
+    error = subprocess.run([sys.executable, "-m", "mzfidelity", "probs", "--state", "fock"],
+                           env=env, capture_output=True, text=True)
+    assert error.returncode == 2
+    assert "--n is required" in error.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +86,9 @@ def test_probs_rejects_bad_photon_number(capsys):
                            capsys)
     assert code == 2
     assert "error" in err
+    code, _, err = run_cli(["probs", "--state", "fock"], capsys)
+    assert code == 2
+    assert "--n is required" in err
 
 
 def test_probs_rejects_bad_grid(capsys):
@@ -163,6 +186,10 @@ def test_posterior_outcome_inconsistent_with_n(capsys):
     code, _, _ = run_cli(["posterior", "--state", "fock", "--n", "2",
                           "--outcome", "1,0", "--grid", "64"], capsys)
     assert code == 2
+    code, _, err = run_cli(["posterior", "--state", "fock", "--n", "4",
+                            "--outcome", "4", "--grid", "64"], capsys)
+    assert code == 2
+    assert "--outcome must be 'n_c,n_d'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +218,16 @@ def test_fidelity_sweep_ordering(capsys):
 
 
 def test_fidelity_requires_state_or_sweep(capsys):
-    # a sweep list with no family in it is no sweep: no header-only CSV
-    for sweep in ([], ["--sweep", ",", "--n-max", "3"], ["--sweep", " , ", "--n-max", "3"]):
-        code, out, _ = run_cli(["fidelity", *sweep], capsys)
+    # each exits 2 with no output; a sweep list with no family in it is no
+    # sweep, so no header-only CSV
+    for sweep, message in (([], "either --state or --sweep"),
+                           (["--sweep", ",", "--n-max", "3"], "names no state family"),
+                           (["--sweep", " , ", "--n-max", "3"], "names no state family"),
+                           (["--sweep", "fock"], "--n-max is required")):
+        code, out, err = run_cli(["fidelity", *sweep], capsys)
         assert code == 2
         assert out == ""
+        assert message in err
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +370,11 @@ def test_coefficient_file_errors(tmp_path, capsys):
     zero = tmp_path / "zero.txt"
     zero.write_text("0 0\n0 0\n")
     assert run_cli(["probs", "--state", str(zero)], capsys)[0] == 2
+
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# comments and blank lines only\n\n")
+    code, _, err = run_cli(["probs", "--state", str(empty)], capsys)
+    assert code == 2 and "is empty" in err
 
     mismatched = tmp_path / "short.txt"
     mismatched.write_text("1 0\n")

@@ -96,6 +96,9 @@ def test_state_coefficients_validation():
         StateCoefficients(np.array([0.5, 0.5]))  # norm^2 = 0.5
     with pytest.raises(ValueError):
         StateCoefficients(np.array([np.nan + 0j]))
+    for coeffs in ([], np.full((2, 2), 0.5)):
+        with pytest.raises(ValueError, match="non-empty 1-D array"):
+            StateCoefficients(coeffs)
     state = fock_state(3)
     assert state.n == 3
     assert state.label == "fock"
@@ -171,6 +174,9 @@ def test_noon_prob_examples():
     phis = PhaseGrid(512).points
     # N=2 coincidence outcome vanishes identically
     assert np.all(noon_outcome_prob(2, Outcome(1, 1), phis) == 0.0)
+    # photon-number mismatch is dropped by the delta, for an array phase too
+    mismatched = noon_outcome_prob(3, Outcome(1, 1), phis)
+    assert mismatched.shape == phis.shape and np.all(mismatched == 0.0)
     # N=1: P(1,0) = (1 - sin phi)/2, which integrates to pi over the period
     p = noon_outcome_prob(1, Outcome(1, 0), phis)
     np.testing.assert_allclose(p, 0.5 * (1.0 - np.sin(phis)), atol=1e-15)
