@@ -37,7 +37,6 @@ class PhasePosterior:
 
     grid: PhaseGrid
     density: np.ndarray
-    outcome: Outcome = None
     peaks: list = field(default_factory=list)
 
 
@@ -60,8 +59,7 @@ class SimulationResult:
         return self.posteriors[-1]
 
 
-def posterior_density(likelihood_row, grid: PhaseGrid,
-                      outcome: Outcome = None) -> PhasePosterior:
+def posterior_density(likelihood_row, grid: PhaseGrid) -> PhasePosterior:
     """Posterior from one likelihood row under the uniform prior.
 
     p(phi_k|m) = P(m|phi_k) / sum_j P(m|phi_j) * weight.  A row that is
@@ -78,12 +76,12 @@ def posterior_density(likelihood_row, grid: PhaseGrid,
     if norm <= 0.0:
         raise ZeroProbabilityOutcomeError(
             "outcome has zero probability at every phase; posterior undefined")
-    return PhasePosterior(grid=grid, density=row / norm, outcome=outcome)
+    return PhasePosterior(grid=grid, density=row / norm)
 
 
 def posterior_for_outcome(table: LikelihoodTable, outcome: Outcome) -> PhasePosterior:
     """Posterior of one tabulated outcome."""
-    return posterior_density(table.row_for(outcome), table.grid, outcome=outcome)
+    return posterior_density(table.row_for(outcome), table.grid)
 
 
 def _wrap_angle(x: float) -> float:
@@ -152,14 +150,13 @@ def circular_summary(posterior: PhasePosterior):
     return mean, std
 
 
-def _posterior_from_log(log_likelihood: np.ndarray, grid: PhaseGrid,
-                        outcome: Outcome) -> PhasePosterior:
+def _posterior_from_log(log_likelihood: np.ndarray, grid: PhaseGrid) -> PhasePosterior:
     peak = log_likelihood.max()
     if not peak > _LOG_ZERO:  # every cell counts an outcome with P = 0
         raise ZeroProbabilityOutcomeError(
             "recorded outcomes have zero joint probability on the whole grid")
     density = np.exp(log_likelihood - peak)
-    return posterior_density(density, grid, outcome=outcome)
+    return posterior_density(density, grid)
 
 
 def simulate_sequence(state: StateCoefficients,
@@ -204,9 +201,8 @@ def simulate_sequence(state: StateCoefficients,
     # one row of counts per returned posterior: every prefix, or all shots
     counts = (np.cumsum(np.eye(state.n + 1)[draws], axis=0) if keep_history
               else np.bincount(draws, minlength=state.n + 1)[None, :])
-    posteriors = [_posterior_from_log(log_likelihood, table.grid, outcome)
-                  for log_likelihood, outcome
-                  in zip(table.log_likelihood(counts), outcomes[-len(counts):])]
+    posteriors = [_posterior_from_log(log_likelihood, table.grid)
+                  for log_likelihood in table.log_likelihood(counts)]
     record = MeasurementRecord(true_phase=true_phase, seed=int(seed),
                                outcomes=outcomes)
     return SimulationResult(record=record, posteriors=posteriors)

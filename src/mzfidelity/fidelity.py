@@ -115,29 +115,22 @@ def mutual_information(table: LikelihoodTable) -> FidelityReport:
                           outcome_count=table.outcome_count)
 
 
-def fidelity_sweep(state_family, n_max: int = None,
+def fidelity_sweep(state_family: str, n_max: int,
                    grid_size: int = DEFAULT_GRID_SIZE,
                    geometry: InterferometerGeometry = DEFAULT_GEOMETRY):
     """Mutual information versus photon number.
 
-    ``state_family`` is "fock", "noon", or an explicit list of
-    :class:`StateCoefficients`.  For a named family one report per N from
-    1 to ``n_max`` is returned, in N order (CSV-ready).
+    ``state_family`` is "fock" or "noon".  One report per N from 1 to
+    ``n_max`` is returned, in N order (CSV-ready).
     """
-    if isinstance(state_family, str):
-        try:
-            builder = STATE_FAMILIES[state_family]
-        except KeyError:
-            raise ValueError(f"unknown state family {state_family!r}; "
-                             "expected 'fock' or 'noon'") from None
-        n_max = _integer(n_max, "n_max", minimum=1)
-        states = [builder(n) for n in range(1, n_max + 1)]
-    else:
-        states = list(state_family)
-        if not states:
-            raise ValueError("state list is empty")
-    return [mutual_information(likelihood_table(state, geometry, grid_size))
-            for state in states]
+    try:
+        builder = STATE_FAMILIES[state_family]
+    except (KeyError, TypeError):  # TypeError: an unhashable family, such as a list
+        raise ValueError(f"unknown state family {state_family!r}; "
+                         "expected 'fock' or 'noon'") from None
+    n_max = _integer(n_max, "n_max", minimum=1)
+    return [mutual_information(likelihood_table(builder(n), geometry, grid_size))
+            for n in range(1, n_max + 1)]
 
 
 def _count_vectors(total: int, bins: int, block: int):
@@ -353,32 +346,22 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
                           grid_size=table.grid.size, outcome_count=n_vectors)
 
 
-def _observable_values(name: str, n_total: int) -> np.ndarray:
-    n_c = np.arange(n_total + 1, dtype=np.float64)
-    values = {"n_c": n_c, "n_d": n_total - n_c, "n_c-n_d": 2.0 * n_c - n_total}
-    try:
-        return values[name.replace(" ", "").replace("−", "-")]
-    except KeyError:
-        raise ValueError(f"unknown observable {name!r}; expected 'n_c', 'n_d' "
-                         "or 'n_c - n_d'") from None
-
-
 def error_propagation_sensitivity(state: StateCoefficients,
                                   geometry: InterferometerGeometry = DEFAULT_GEOMETRY,
-                                  observable: str = "n_c",
                                   working_point: float = 0.5 * math.pi
                                   ) -> SensitivityEstimate:
     """Classical single-peak sensitivity estimate at a working point.
 
-    delta_phi = delta_m / |d mean(m) / d phi|, with the mean and variance
-    of the observable and its exact slope (no difference step) from one
-    engine call on the phase stages E and i n E, which give the amplitudes
-    A_m and dA_m/dphi, with dP_m/dphi = 2 Re(conj(A_m) dA_m/dphi).  A
-    vanishing slope (|slope| < 1e-12) means the estimate is undefined and
-    raises :class:`StationaryPointError`.
+    delta_phi = delta_m / |d mean(m) / d phi| for the count m = n_c (n_d =
+    N - n_c and n_c - n_d are affine in it and give the same delta_phi),
+    with its mean, its variance and the mean's exact slope (no difference
+    step) from one engine call on the phase stages E and i n E, which give
+    the amplitudes A_m and dA_m/dphi, with dP_m/dphi = 2 Re(conj(A_m)
+    dA_m/dphi).  A vanishing slope (|slope| < 1e-12) means the estimate is
+    undefined and raises :class:`StationaryPointError`.
     """
     working_point = float(_check_phase(working_point))
-    values = _observable_values(observable, state.n)
+    values = np.arange(state.n + 1, dtype=np.float64)
     stage = _phase_factors(state.n, np.array([working_point]), geometry)
     stage = np.hstack([stage, 1j * np.arange(state.n + 1)[:, None] * stage])
     amps, slopes = _outcome_amplitudes(state.coeffs, stage).T

@@ -227,15 +227,16 @@ def _beam_splitter(n_total: int):
     of k holds the coefficients of (1-x)^n (1+x)^(N-n), so
     (1-x) k_{n-1} = (1+x) k_n gives all of k in O(N^2) integer additions
     (MacWilliams & Sloane, The Theory of Error-Correcting Codes, ch. 5).
-    K = K^T and K[N-m] = s K[m] hold exactly, so only the entries with
-    m <= min(n, N/2) take a root.  The arrays are shared, hence read-only.
+    K = K^T, K[m, N-n] = (-1)^m K[m, n] and K[N-m] = s K[m] hold exactly,
+    so only the entries with m <= n <= N/2 take a root.  The arrays are
+    shared, hence read-only.
     """
     size = n_total + 1
     binomials = [math.comb(n_total, n) for n in range(size)]
     k = np.zeros((size, size))
     column = [(-1) ** j * binomial for j, binomial in enumerate(binomials)]
     for n in range(n_total, -1, -1):
-        for m, krawtchouk in enumerate(column[:min(n, n_total // 2) + 1]):
+        for m, krawtchouk in enumerate(column[:n + 1] if 2 * n <= n_total else ()):
             if krawtchouk:
                 k[m, n] = math.copysign(_sqrt_ratio(
                     krawtchouk ** 2 * binomials[n], binomials[m] << n_total), krawtchouk)
@@ -243,7 +244,8 @@ def _beam_splitter(n_total: int):
         column = list(accumulate(a + b for a, b in zip(column, [0] + column)))
     signs = np.resize([1.0, -1.0], size)
     k += np.triu(k, 1).T
-    # + 0.0 keeps K's zeros +0.0 where s flips them, so K = K^T bit for bit
+    # + 0.0 keeps K's zeros +0.0 where a sign flips them, so K = K^T bit for bit
+    k[:, ::-1][:, :size // 2] = k[:, :size // 2] * signs[:, None] + 0.0
     k[::-1][:size // 2] = k[:size // 2] * signs + 0.0
     phases = np.array([1, 1j, -1, -1j])[(3 * np.arange(size) - n_total) % 4]
     for array in (k, phases, signs):

@@ -259,7 +259,7 @@ def test_criterion_08_error_propagation_standard_limit():
     worst = 0.0
     for n in (1, 4, 16, 25):
         estimate = error_propagation_sensitivity(
-            fock_state(n), observable="n_c", working_point=np.pi / 2)
+            fock_state(n), working_point=np.pi / 2)
         worst = max(worst, abs(estimate.delta_phi - standard_limit(n)))
     _report("8", worst < 1e-6, f"max |delta_phi - 1/sqrt(N)| = {worst:.3e}")
     assert worst < 1e-6

@@ -422,13 +422,13 @@ def test_record_impossible_at_every_phase_has_no_posterior():
                             state_label="synthetic", n_total=1)
     log_likelihood = table.log_likelihood([[1, 1]])[0]
     with pytest.raises(ZeroProbabilityOutcomeError, match="whole grid"):
-        bayes._posterior_from_log(log_likelihood, table.grid, Outcome(1, 0))
+        bayes._posterior_from_log(log_likelihood, table.grid)
     # impossible at some phases only: exact zeros there, the normalized
     # product of the rows elsewhere
     table.grid = PhaseGrid(4)
     table.probs = np.array([[1.0, 0.5, 0.0, 0.25], [0.0, 0.5, 1.0, 0.75]])
     log_likelihood = table.log_likelihood([[1, 1]])[0]
-    density = bayes._posterior_from_log(log_likelihood, table.grid, Outcome(1, 0)).density
+    density = bayes._posterior_from_log(log_likelihood, table.grid).density
     assert density[0] == density[2] == 0.0
     product = table.probs[0] * table.probs[1]
     np.testing.assert_allclose(density, product / table.grid.integrate(product),

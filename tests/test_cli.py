@@ -46,6 +46,21 @@ def test_module_entry_point_exit_codes():
     assert "--n is required" in error.stderr
 
 
+def test_console_script_exit_codes(monkeypatch, capsys):
+    # run, the [project.scripts] target, exits with main's code
+    monkeypatch.setattr(sys, "argv", ["mzfidelity", "fidelity", "--state", "fock",
+                                      "--n", "1", "--grid", "16"])
+    with pytest.raises(SystemExit) as success:
+        cli.run()
+    assert success.value.code == 0
+    assert capsys.readouterr().out.startswith("state,N,H_bits\nfock,1,")
+    monkeypatch.setattr(sys, "argv", ["mzfidelity", "probs", "--state", "fock", "--n", "-1"])
+    with pytest.raises(SystemExit) as error:
+        cli.run()
+    assert error.value.code == 2
+    assert "--n must be between" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # probs
 # ---------------------------------------------------------------------------

@@ -421,9 +421,9 @@ def test_beam_splitter_is_read_only_and_built_from_few_roots(monkeypatch):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
-    # only the entries with m <= min(n, N/2), about 3/8 of them, take a
-    # root; K = K^T and K[N-m] = s K[m] fill in the rest.  A fresh build,
-    # past the cache, counts the roots
+    # only the entries with m <= n <= N/2, about 1/8 of them, take a root;
+    # K = K^T, K[m, N-n] = (-1)^m K[m, n] and K[N-m] = s K[m] fill in the
+    # rest.  A fresh build, past the cache, counts the roots
     calls = []
 
     def counting_sqrt_ratio(num, den):
@@ -432,7 +432,7 @@ def test_beam_splitter_is_read_only_and_built_from_few_roots(monkeypatch):
 
     monkeypatch.setattr(optics, "_sqrt_ratio", counting_sqrt_ratio)
     fresh = _beam_splitter.__wrapped__(MAX_PHOTONS)
-    assert 0 < len(calls) <= 0.4 * (MAX_PHOTONS + 1) ** 2
+    assert 0 < len(calls) <= 0.13 * (MAX_PHOTONS + 1) ** 2
     for array, shared in zip(fresh, cached):
         assert not array.flags.writeable
         assert array.tobytes() == shared.tobytes()
@@ -538,6 +538,13 @@ def test_table_grid_size_validation():
             likelihood_table(fock_state(1), grid_size=size)
         with pytest.raises(ValueError, match=message):
             simulate_sequence(fock_state(1), shots=1, grid_size=size)
+
+
+def test_grid_equality_and_repr():
+    assert PhaseGrid(16) == PhaseGrid(16.0)
+    assert PhaseGrid(16) != PhaseGrid(17)
+    assert PhaseGrid(16) != 16
+    assert repr(PhaseGrid(16)) == "PhaseGrid(size=16)"
 
 
 def test_table_row_lookup():
