@@ -8,6 +8,7 @@ tests can hold the engine to it.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -123,11 +124,8 @@ def fock_mutual_information(n_total: int) -> float:
     fractions and each bracket takes two roundings, its log and its
     rational part: within 4e-15 bits of a 40-digit evaluation for N <= 200.
     """
-    partial = Fraction(0)
-    odd_harmonics = [partial]
-    for k in range(1, n_total + 1):
-        partial += Fraction(2, 2 * k - 1)
-        odd_harmonics.append(partial)
+    odd_harmonics = list(accumulate((Fraction(2, 2 * k - 1) for k in range(1, n_total + 1)),
+                                    initial=Fraction(0)))
     harmonic = sum((Fraction(1, k) for k in range(1, n_total + 1)), Fraction(0))
     terms = []
     for m in range(n_total + 1):
