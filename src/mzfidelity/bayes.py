@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import (ResourceLimitError, UndefinedCircularMeanError,
-                         ZeroProbabilityOutcomeError)
+from .exceptions import UndefinedCircularMeanError, ZeroProbabilityOutcomeError
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid, _integer
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, LikelihoodTable,
                      Outcome, StateCoefficients, likelihood_table,
@@ -22,9 +21,6 @@ from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, LikelihoodTable,
 # quadrature ripple; genuine secondary modes in scope sit above 1e-4
 PEAK_REL_THRESHOLD = 1e-9
 RESULTANT_TOL = 1e-12
-# bytes a keep_history run may hold: per shot, its counts and their cumsum
-# (N+1 floats each) and its log likelihood and posterior (a grid row each)
-MAX_HISTORY_BYTES = 1 << 30
 
 
 @dataclass(eq=False)
@@ -52,11 +48,7 @@ class MeasurementRecord:
 @dataclass(eq=False)
 class SimulationResult:
     record: MeasurementRecord
-    posteriors: list
-
-    @property
-    def final_posterior(self) -> PhasePosterior:
-        return self.posteriors[-1]
+    final_posterior: PhasePosterior
 
 
 def posterior_density(likelihood_row, grid: PhaseGrid) -> PhasePosterior:
@@ -164,31 +156,23 @@ def simulate_sequence(state: StateCoefficients,
                       true_phase: float = 0.0,
                       shots: int = 1,
                       seed: int = 0,
-                      grid_size: int = DEFAULT_GRID_SIZE,
-                      keep_history: bool = False) -> SimulationResult:
-    """Draw i.i.d. outcomes at a fixed phase and track the running posterior.
+                      grid_size: int = DEFAULT_GRID_SIZE) -> SimulationResult:
+    """Draw i.i.d. outcomes at a fixed phase and the posterior they give.
 
     Outcomes are sampled from P(m | true_phase) with a seeded generator,
-    so a fixed seed reproduces the record bit-for-bit.  Each posterior is
-    exp(sum_m M_m ln P(m|phi)) over the outcome counts M_m of its shots
+    so a fixed seed reproduces the record bit-for-bit.  The posterior is
+    exp(sum_m M_m ln P(m|phi)) over the outcome counts M_m of all shots
     (:meth:`LikelihoodTable.log_likelihood`, which makes it exactly 0 where
-    a counted outcome has P = 0), normalized.  By default only
-    the final posterior is returned; ``keep_history=True`` keeps one per
-    shot prefix, and raises :class:`ResourceLimitError` up front if that
-    history would hold more than ``MAX_HISTORY_BYTES``.
+    a counted outcome has P = 0), normalized.
 
     Returns
     -------
     SimulationResult
-        ``record`` holds the drawn outcomes, ``posteriors`` the posterior
-        sequence (length ``shots`` with history, else 1).
+        ``record`` holds the drawn outcomes, ``final_posterior`` the
+        posterior given all of them.
     """
     shots = _integer(shots, "shots", minimum=1)
     grid = PhaseGrid(grid_size)
-    history_bytes = 16 * shots * (state.n + 1 + grid.size)
-    if keep_history and history_bytes > MAX_HISTORY_BYTES:
-        raise ResourceLimitError(f"a history of {shots} posteriors needs "
-                                 f"{history_bytes} B, over the cap of {MAX_HISTORY_BYTES}")
     true_phase = float(_check_phase(true_phase))
 
     pmf = outcome_distribution(state, true_phase, geometry)
@@ -197,12 +181,9 @@ def simulate_sequence(state: StateCoefficients,
     draws = rng.choice(state.n + 1, size=shots, p=pmf)
 
     table = likelihood_table(state, geometry, grid.size)
-    outcomes = [table.outcomes[n_c] for n_c in draws.tolist()]
-    # one row of counts per returned posterior: every prefix, or all shots
-    counts = (np.cumsum(np.eye(state.n + 1)[draws], axis=0) if keep_history
-              else np.bincount(draws, minlength=state.n + 1)[None, :])
-    posteriors = [_posterior_from_log(log_likelihood, table.grid)
-                  for log_likelihood in table.log_likelihood(counts)]
+    labels = [Outcome(n_c, state.n - n_c) for n_c in range(state.n + 1)]
+    counts = np.bincount(draws, minlength=state.n + 1)
+    posterior = _posterior_from_log(table.log_likelihood(counts[None, :])[0], table.grid)
     record = MeasurementRecord(true_phase=true_phase, seed=int(seed),
-                               outcomes=outcomes)
-    return SimulationResult(record=record, posteriors=posteriors)
+                               outcomes=[labels[n_c] for n_c in draws.tolist()])
+    return SimulationResult(record=record, final_posterior=posterior)

@@ -37,11 +37,12 @@ MAX_PHOTONS = 200
 MAX_GRID_CELLS = 1 << 22
 # shots of one simulate run, which holds about 100 B a shot
 MAX_SHOTS = 1 << 22
+# every number written: 12 significant digits, locale-independent
+_NUMBER_FORMAT = "%.12g"
 
 
 def _fmt(value: float) -> str:
-    """Format one number at 12 significant digits, locale-independent."""
-    return f"{value:.12g}"
+    return _NUMBER_FORMAT % value
 
 
 def _round12(value: float) -> float:
@@ -119,7 +120,7 @@ def _csv(header, lines) -> str:
 def _float_lines(*columns):
     """CSV lines of the columns' values, each formatted as ``_fmt`` does."""
     table = np.column_stack(columns)
-    row_format = ",".join(["%.12g"] * table.shape[1])
+    row_format = ",".join([_NUMBER_FORMAT] * table.shape[1])
     return (row_format % tuple(row.tolist()) for row in table)
 
 
@@ -175,7 +176,7 @@ def _emit(args, command: str, kind: str, primary: str, parameters: dict,
 def cmd_probs(args) -> None:
     state = _load(args)
     table = likelihood_table(state, _geometry(args), args.grid)
-    header = ["phi"] + [f"P({o.n_c},{o.n_d})" for o in table.outcomes]
+    header = ["phi"] + [f"P({n_c},{state.n - n_c})" for n_c in range(state.n + 1)]
     _emit(args, "probs", "csv",
           _csv(header, _float_lines(table.grid.points, table.probs.T)),
           {"state": args.state, "n": state.n})
@@ -212,7 +213,9 @@ def cmd_posterior(args) -> None:
 
 def cmd_fidelity(args) -> None:
     geometry = _geometry(args)
-    if args.sweep:
+    if args.sweep is not None:
+        if args.state is not None or args.n is not None:
+            raise ValueError("--sweep takes no --state or --n")
         families = [token.strip() for token in args.sweep.split(",") if token.strip()]
         if not families:
             raise ValueError("--sweep names no state family")
@@ -221,6 +224,8 @@ def cmd_fidelity(args) -> None:
         _check_grid(_require_n(args.n_max), args.grid)
         rows = [(family, report) for family in families
                 for report in fidelity_sweep(family, args.n_max, args.grid, geometry)]
+    elif args.n_max is not None:
+        raise ValueError("--n-max needs --sweep")
     elif args.state is None:
         raise ValueError("either --state or --sweep is required")
     else:
@@ -342,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     fid = sub.add_parser("fidelity", help="mutual information in bits")
     _add_common(fid)
     fid.add_argument("--sweep", metavar="FAMILIES", default=None,
-                     help="comma-separated families to sweep (fock,noon)")
+                     help="comma-separated families to sweep (fock,noon); "
+                          "not with --state or --n")
     fid.add_argument("--n-max", type=int, default=None,
                      help="sweep photon numbers 1..N_MAX")
     fid.set_defaults(func=cmd_fidelity)

@@ -51,7 +51,6 @@ class FidelityReport:
     """Mutual information result with its provenance."""
 
     h_bits: float
-    state_label: str
     n_photons: int
     grid_size: int
     outcome_count: int
@@ -110,9 +109,8 @@ def mutual_information(table: LikelihoodTable) -> FidelityReport:
     _check_columns(table.probs.sum(axis=0))
     # tiny negative round-off on flat tables
     h = max(math.fsum(_information_terms(table.probs, table.grid.weight)[0]), 0.0)
-    return FidelityReport(h_bits=h, state_label=table.state_label,
-                          n_photons=table.n_total, grid_size=table.grid.size,
-                          outcome_count=table.outcome_count)
+    return FidelityReport(h_bits=h, n_photons=table.n_total,
+                          grid_size=table.grid.size, outcome_count=table.outcome_count)
 
 
 def fidelity_sweep(state_family: str, n_max: int,
@@ -341,7 +339,6 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
     if not binomial:
         terms.append([LOG2_E * _mean_compound_p_log_p(probs, repeats, mirrored)])
     return FidelityReport(h_bits=max(math.fsum(np.concatenate(terms)), 0.0),
-                          state_label=f"{table.state_label} x{repeats}",
                           n_photons=table.n_total * repeats,
                           grid_size=table.grid.size, outcome_count=n_vectors)
 

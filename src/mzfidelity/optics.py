@@ -352,15 +352,10 @@ def outcome_distribution(state: StateCoefficients, phi: float,
 
 @dataclass(eq=False)
 class LikelihoodTable:
-    """P(m | phi_k) on a phase grid, one row per outcome.
-
-    ``outcomes`` lists the row labels, one ``Outcome`` per row.
-    """
+    """P(m | phi_k) on a phase grid; row m is the outcome (m, N-m)."""
 
     grid: PhaseGrid
     probs: np.ndarray
-    outcomes: list
-    state_label: str
     n_total: int
 
     @property
@@ -408,6 +403,4 @@ def likelihood_table(state: StateCoefficients,
         mirrored, sources = probs[:rows - 1:-1], probs[:left_out]
         mirrored[:, :half] = sources[:, half:]
         mirrored[:, half:] = sources[:, :half]
-    outcomes = [Outcome(n_c, n - n_c) for n_c in range(n + 1)]
-    return LikelihoodTable(grid=grid, probs=probs, outcomes=outcomes,
-                           state_label=state.label, n_total=n)
+    return LikelihoodTable(grid=grid, probs=probs, n_total=n)

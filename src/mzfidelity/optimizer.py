@@ -105,7 +105,6 @@ class OptimizationResult:
     # one {"success", "nit", "nfev", "message"} record per restart; message is "H
     # converged", "gradient converged", "iteration limit" or "line search failed"
     restarts: list = field(default_factory=list)
-    search_grid_size: int = None  # the grid the search ran on
 
 
 def project_normalize(raw) -> StateCoefficients:
@@ -258,8 +257,7 @@ def optimize_input_state(n_photons: int,
     OptimizationResult
         ``history`` holds one best-found value per restart (search grid)
         and ``restarts`` each restart's convergence record;
-        ``best_h_bits`` is the winner re-evaluated on the reporting grid;
-        ``search_grid_size`` is the search grid's size.
+        ``best_h_bits`` is the winner re-evaluated on the reporting grid.
     """
     n_photons = _integer(n_photons, "photon number", minimum=1)
     config = (config or OptimizerConfig()).resolved(n_photons)
@@ -284,5 +282,4 @@ def optimize_input_state(n_photons: int,
     return OptimizationResult(best_state=best_state, best_h_bits=report.h_bits,
                               history=history,
                               evaluations=sum(r["nfev"] for r in restarts),
-                              restarts=restarts,
-                              search_grid_size=config.search_grid_size)
+                              restarts=restarts)

@@ -135,3 +135,10 @@ def fock_mutual_information(n_total: int) -> float:
         bracket = math.log(math.comb(n_total, m) / central) + float(rational)
         terms.append(central / 4 ** n_total * bracket)
     return math.fsum(terms) / math.log(2.0)
+
+
+def trapezoid(y, x) -> float:
+    """Trapezoid rule for samples y at the points x, spelled out because
+    np.trapezoid exists only from numpy 2.0."""
+    y, x = np.asarray(y, dtype=np.float64), np.asarray(x, dtype=np.float64)
+    return float(np.sum(np.diff(x) * (y[1:] + y[:-1])) / 2.0)

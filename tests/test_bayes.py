@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mzfidelity import (Outcome, PhaseGrid, ResourceLimitError, StateCoefficients,
+from mzfidelity import (Outcome, PhaseGrid, StateCoefficients,
                         UndefinedCircularMeanError,
                         ZeroProbabilityOutcomeError, circular_summary,
                         count_peaks, fock_state, likelihood_table, noon_state,
@@ -17,6 +17,11 @@ from mzfidelity.bayes import PEAK_REL_THRESHOLD, PhasePosterior, _wrap_angle
 from mzfidelity.optics import LikelihoodTable
 
 PHI_STAR_4_21 = 2.0 * math.atan(math.sqrt(4.0 / 21.0))  # 0.823033692...
+
+
+def _outcomes(table):
+    """The outcome of each table row: row m is (m, N-m)."""
+    return [Outcome(m, table.n_total - m) for m in range(table.n_total + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +80,7 @@ def test_posterior_rejects_bad_rows():
 def test_posterior_normalization_all_outcomes():
     for state in (fock_state(25), noon_state(25)):
         table = likelihood_table(state, grid_size=512)
-        for outcome in table.outcomes:
+        for outcome in _outcomes(table):
             if table.row_for(outcome).sum() == 0:
                 continue
             post = posterior_for_outcome(table, outcome)
@@ -114,14 +119,14 @@ def test_single_peak_at_zero():
 
 def test_fock_peak_counts_within_range():
     table = likelihood_table(fock_state(25), grid_size=4096)
-    counts = {count_peaks(posterior_for_outcome(table, o)) for o in table.outcomes}
+    counts = {count_peaks(posterior_for_outcome(table, o)) for o in _outcomes(table)}
     assert counts <= {1, 2}
 
 
 def test_noon_peak_counts_within_range():
     table = likelihood_table(noon_state(25), grid_size=4096)
     counts = set()
-    for outcome in table.outcomes:
+    for outcome in _outcomes(table):
         if table.row_for(outcome).sum() == 0:
             continue
         counts.add(count_peaks(posterior_for_outcome(table, outcome)))
@@ -234,7 +239,7 @@ def test_peaks_match_loop_reference():
                           StateCoefficients(coeffs / np.linalg.norm(coeffs))):
                 table = likelihood_table(state, grid_size=size)
                 posteriors += [posterior_for_outcome(table, outcome)
-                               for outcome in table.outcomes
+                               for outcome in _outcomes(table)
                                if table.probs[outcome.n_c].any()]
         for _ in range(20):  # ripple, drift and step plateaus
             density = (1.0 + 1e-12 * rng.standard_normal(size)
@@ -350,22 +355,14 @@ def test_simulate_posterior_concentrates_on_sign_pair():
     assert locations[1] == pytest.approx(true_phase, abs=0.05)
 
 
-def test_simulate_history_and_permutation_invariance():
+def test_simulate_posterior_ignores_shot_order():
+    # recompute the final posterior from the reversed record: the product of
+    # likelihood rows does not care about outcome order
     result = simulate_sequence(fock_state(2), true_phase=0.4, shots=16, seed=3,
-                               grid_size=256, keep_history=True)
-    assert len(result.posteriors) == 16
+                               grid_size=256)
     table = likelihood_table(fock_state(2), grid_size=256)
     with np.errstate(divide="ignore"):
         log_rows = np.log(table.probs)
-    # posterior i holds the first i + 1 shots
-    prefix = np.zeros(256)
-    for outcome, posterior in zip(result.record.outcomes, result.posteriors):
-        prefix = prefix + log_rows[outcome.n_c]
-        density = np.exp(prefix - prefix.max())
-        density /= table.grid.integrate(density)
-        np.testing.assert_allclose(posterior.density, density, atol=1e-12)
-    # recompute the final posterior from the reversed record: the product of
-    # likelihood rows does not care about outcome order
     total = np.zeros(256)
     for outcome in reversed(result.record.outcomes):
         total = total + log_rows[outcome.n_c]
@@ -373,22 +370,6 @@ def test_simulate_history_and_permutation_invariance():
     reversed_density /= table.grid.integrate(reversed_density)
     np.testing.assert_allclose(result.final_posterior.density, reversed_density,
                                atol=1e-12)
-
-
-def test_simulate_history_cap(monkeypatch):
-    # 16 shots x (3 counts + 256 points) x 16 B = 66304 B of history
-    monkeypatch.setattr(bayes, "MAX_HISTORY_BYTES", 66303)
-    with pytest.raises(ResourceLimitError, match="66304 B"):
-        simulate_sequence(fock_state(2), true_phase=0.4, shots=16, seed=3,
-                          grid_size=256, keep_history=True)
-    # the final posterior alone is not capped
-    result = simulate_sequence(fock_state(2), true_phase=0.4, shots=16, seed=3,
-                               grid_size=256)
-    assert len(result.posteriors) == 1
-    monkeypatch.setattr(bayes, "MAX_HISTORY_BYTES", 66304)
-    result = simulate_sequence(fock_state(2), true_phase=0.4, shots=16, seed=3,
-                               grid_size=256, keep_history=True)
-    assert len(result.posteriors) == 16
 
 
 def test_simulate_long_record_matches_exact_sum():
@@ -418,8 +399,7 @@ def test_record_impossible_at_every_phase_has_no_posterior():
     # each outcome of [[1, 0], [0, 1]] rules out the phase where the other
     # is certain, so a record that counts both is impossible everywhere
     table = LikelihoodTable(grid=PhaseGrid(2), probs=np.array([[1.0, 0.0], [0.0, 1.0]]),
-                            outcomes=[Outcome(0, 1), Outcome(1, 0)],
-                            state_label="synthetic", n_total=1)
+                            n_total=1)
     log_likelihood = table.log_likelihood([[1, 1]])[0]
     with pytest.raises(ZeroProbabilityOutcomeError, match="whole grid"):
         bayes._posterior_from_log(log_likelihood, table.grid)

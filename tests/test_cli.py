@@ -234,11 +234,17 @@ def test_fidelity_sweep_ordering(capsys):
 
 def test_fidelity_requires_state_or_sweep(capsys):
     # each exits 2 with no output; a sweep list with no family in it is no
-    # sweep, so no header-only CSV
+    # sweep, so no header-only CSV, and no flag is silently ignored
     for sweep, message in (([], "either --state or --sweep"),
                            (["--sweep", ",", "--n-max", "3"], "names no state family"),
                            (["--sweep", " , ", "--n-max", "3"], "names no state family"),
-                           (["--sweep", "fock"], "--n-max is required")):
+                           (["--sweep", "fock"], "--n-max is required"),
+                           (["--state", "noon", "--n", "3", "--sweep", "fock",
+                             "--n-max", "2"], "--sweep takes no --state or --n"),
+                           (["--n", "3", "--sweep", "fock", "--n-max", "2"],
+                            "--sweep takes no --state or --n"),
+                           (["--state", "fock", "--n", "3", "--n-max", "2"],
+                            "--n-max needs --sweep")):
         code, out, err = run_cli(["fidelity", *sweep], capsys)
         assert code == 2
         assert out == ""

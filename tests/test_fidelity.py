@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mzfidelity
-from mzfidelity import (InterferometerGeometry, Outcome, PhaseGrid,
+from mzfidelity import (InterferometerGeometry, PhaseGrid,
                         ResourceLimitError, StateCoefficients, StationaryPointError,
                         error_propagation_sensitivity, fidelity_sweep,
                         fock_state, heisenberg_limit, likelihood_table,
@@ -21,32 +21,28 @@ from mzfidelity import (InterferometerGeometry, Outcome, PhaseGrid,
 from mzfidelity import fidelity
 from mzfidelity.cli import MAX_PHOTONS
 from mzfidelity.optics import LikelihoodTable
-from oracle import fock_mutual_information
+from oracle import fock_mutual_information, trapezoid
 
 H_SINGLE_PHOTON = 1.0 / math.log(2.0) - 1.0  # closed form: 0.4426950408889634
 
 
-def _table_from_rows(rows, state_label="synthetic", n_total=None):
+def _table_from_rows(rows, n_total=None):
     rows = np.asarray(rows, dtype=float)
-    grid = PhaseGrid(rows.shape[1])
     n_total = rows.shape[0] - 1 if n_total is None else n_total
-    outcomes = [Outcome(k, n_total - k) if k <= n_total else (k,)
-                for k in range(rows.shape[0])]
-    return LikelihoodTable(grid=grid, probs=rows, outcomes=outcomes,
-                           state_label=state_label, n_total=n_total)
+    return LikelihoodTable(grid=PhaseGrid(rows.shape[1]), probs=rows, n_total=n_total)
 
 
 def _quadrature_oracle(row_functions, n_points=1_000_001):
-    """Independent evaluation of the information integral with np.trapezoid
-    on a dense endpoint-inclusive grid."""
+    """Independent evaluation of the information integral with the trapezoid
+    rule on a dense endpoint-inclusive grid."""
     phi = np.linspace(-np.pi, np.pi, n_points)
     total = 0.0
     for f in row_functions:
         p = f(phi)
-        norm = np.trapezoid(p, phi)
+        norm = trapezoid(p, phi)
         with np.errstate(divide="ignore", invalid="ignore"):
             integrand = np.where(p > 0, p * np.log2(2 * np.pi * p / norm), 0.0)
-        total += np.trapezoid(integrand, phi)
+        total += trapezoid(integrand, phi)
     return total / (2 * np.pi)
 
 
@@ -108,7 +104,6 @@ def test_single_photon_value_against_closed_form_and_quadrature():
                                  lambda p: np.cos(p / 2) ** 2])
     assert oracle == pytest.approx(H_SINGLE_PHOTON, abs=1e-9)
     assert report.h_bits == pytest.approx(oracle, abs=1e-9)
-    assert report.state_label == "fock"
     assert report.n_photons == 1
     assert report.outcome_count == 2
 
@@ -301,7 +296,6 @@ def test_single_photon_repeats_match_fock(repeats):
     assert compound.h_bits == pytest.approx(direct.h_bits, abs=1e-9)
     assert compound.n_photons == repeats
     assert compound.outcome_count == repeats + 1
-    assert compound.state_label == "fock x" + str(repeats)
 
 
 def test_compound_distribution_matches_multinomial_oracle():
