@@ -15,7 +15,7 @@ from .exceptions import UndefinedCircularMeanError, ZeroProbabilityOutcomeError
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid, _integer
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, LikelihoodTable,
                      Outcome, StateCoefficients, likelihood_table,
-                     outcome_distribution, _check_phase, _LOG_ZERO)
+                     outcome_distribution, _check_scalar_phase, _roots_of_unity, _LOG_ZERO)
 
 # relative height below which a strict local maximum is discarded as
 # quadrature ripple; genuine secondary modes in scope sit above 1e-4
@@ -126,20 +126,21 @@ def count_peaks(posterior: PhasePosterior) -> int:
 def circular_summary(posterior: PhasePosterior):
     """Circular mean and circular standard deviation of the posterior.
 
-    Uses the resultant z = sum_k p_k e^{i phi_k} weight: mean = arg z,
-    std = sqrt(-2 ln |z|).  A resultant of zero length (e.g. a uniform
-    posterior) has no mean and raises
-    :class:`UndefinedCircularMeanError`.
+    Uses the resultant z = weight sum_k p_k e^{i phi_k} = -weight sum_k p_k
+    w^(k mod M), w = e^(2 pi i / M), from the grid's cached roots: mean =
+    arg z in (-pi, pi], std = sqrt(-2 ln |z|).  A zero-length resultant
+    (e.g. a uniform posterior) has no mean: :class:`UndefinedCircularMeanError`.
     """
-    z = posterior.grid.integrate(posterior.density * np.exp(1j * posterior.grid.points))
-    resultant = float(np.abs(z))
+    density, grid = posterior.density, posterior.grid
+    roots = _roots_of_unity(grid.size).view(np.float64).reshape(-1, 2)
+    real, imag = -grid.weight * (density[:-1] @ roots[1:] + (density[-1], 0.0))
+    resultant = math.hypot(real, imag)
     if resultant < RESULTANT_TOL:
         raise UndefinedCircularMeanError(
             f"circular resultant length {resultant} is numerically zero; "
             "the circular mean is undefined")
-    mean = float(np.angle(z))
-    std = math.sqrt(-2.0 * math.log(min(resultant, 1.0)))
-    return mean, std
+    mean = math.atan2(imag, real)  # on (-pi, pi]: -pi, the same angle, is pi
+    return (math.pi if mean == -math.pi else mean), math.sqrt(-2.0 * math.log(min(resultant, 1.0)))
 
 
 def _posterior_from_log(log_likelihood: np.ndarray, grid: PhaseGrid) -> PhasePosterior:
@@ -173,12 +174,11 @@ def simulate_sequence(state: StateCoefficients,
     """
     shots = _integer(shots, "shots", minimum=1)
     grid = PhaseGrid(grid_size)
-    true_phase = float(_check_phase(true_phase))
+    true_phase = _check_scalar_phase(true_phase)
 
     pmf = outcome_distribution(state, true_phase, geometry)
-    pmf = pmf / pmf.sum()
     rng = np.random.default_rng(seed)
-    draws = rng.choice(state.n + 1, size=shots, p=pmf)
+    draws = rng.choice(state.n + 1, size=shots, p=pmf / pmf.sum())
 
     table = likelihood_table(state, geometry, grid.size)
     labels = [Outcome(n_c, state.n - n_c) for n_c in range(state.n + 1)]

@@ -21,10 +21,9 @@ import numpy as np
 
 from .exceptions import ResourceLimitError, StationaryPointError
 from .grid import DEFAULT_GRID_SIZE, _integer
-from .optics import (DEFAULT_GEOMETRY, PROB_FLOOR, STATE_FAMILIES,
-                     InterferometerGeometry, LikelihoodTable, StateCoefficients,
-                     likelihood_table, _check_phase, _clamp_probs,
-                     _log_probs, _mirrors_by_half_period, _outcome_amplitudes,
+from .optics import (DEFAULT_GEOMETRY, PROB_FLOOR, STATE_FAMILIES, InterferometerGeometry,
+                     LikelihoodTable, StateCoefficients, likelihood_table, _check_scalar_phase,
+                     _clamp_probs, _log_probs, _mirrors_by_half_period, _outcome_amplitudes,
                      _phase_factors, _LOG_ZERO)
 
 TWO_PI = 2.0 * math.pi
@@ -92,6 +91,13 @@ def _information_terms(probs: np.ndarray, weight: float):
     return rows, log_ratio
 
 
+def _count_mirrors(outcomes: int, *arrays: np.ndarray) -> None:
+    """Count, in place, rows m < N/2 twice in arrays of the rows m <= N/2 of a
+    table of ``outcomes`` rows whose row N-m mirrors m; the middle row once."""
+    for array in arrays:
+        array[:outcomes - len(array)] *= 2.0
+
+
 def _check_columns(column_sums: np.ndarray) -> None:
     column_defect = float(np.abs(column_sums - 1.0).max())
     # a NaN or infinite entry makes its column's defect NaN or infinite
@@ -104,11 +110,15 @@ def mutual_information(table: LikelihoodTable) -> FidelityReport:
     """Mutual information, in bits, carried by one use of the device.
 
     The table columns must each sum to 1 (complete outcome set); a table
-    violating that is rejected rather than silently renormalized.
+    violating that is rejected rather than silently renormalized.  Rows that
+    mirror by half a period (every even-grid table) are summed over m <= N/2,
+    each m < N/2 twice and the middle row of an even N once.
     """
     _check_columns(table.probs.sum(axis=0))
-    # tiny negative round-off on flat tables
-    h = max(math.fsum(_information_terms(table.probs, table.grid.weight)[0]), 0.0)
+    rows = (table.outcome_count + 1) // 2 if _mirrors_by_half_period(table.probs) else None
+    terms = _information_terms(table.probs[:rows], table.grid.weight)[0]
+    _count_mirrors(table.outcome_count, terms)
+    h = max(math.fsum(terms), 0.0)  # tiny negative round-off on flat tables
     return FidelityReport(h_bits=h, n_photons=table.n_total,
                           grid_size=table.grid.size, outcome_count=table.outcome_count)
 
@@ -357,7 +367,7 @@ def error_propagation_sensitivity(state: StateCoefficients,
     dA_m/dphi).  A vanishing slope (|slope| < 1e-12) means the estimate is
     undefined and raises :class:`StationaryPointError`.
     """
-    working_point = float(_check_phase(working_point))
+    working_point = _check_scalar_phase(working_point)
     values = np.arange(state.n + 1, dtype=np.float64)
     stage = _phase_factors(state.n, np.array([working_point]), geometry)
     stage = np.hstack([stage, 1j * np.arange(state.n + 1)[:, None] * stage])

@@ -28,11 +28,11 @@ Swapping the output ports is a phase shift of pi: K[N-m] = s K[m] and
 s_n E[n](phi) = E[n](phi + pi), so P(N-m | phi) = P(m | phi + pi) for every
 input state and geometry.  On a grid of even size M, phi_k + pi is the grid
 point k + M/2, so only the rows m <= N/2 are computed
-(:func:`_distinct_rows`) and row N-m is row m rolled by half a period.  The
-compound information of repeated uses is the rule's second user: when a
-table's rows mirror that way (:func:`_mirrors_by_half_period`), a count
-vector and its reverse have the same likelihood half a period apart, so
-only one of each such pair is evaluated.
+(:func:`_distinct_rows`) and row N-m is row m rolled by half a period.  When
+a table's rows mirror that way (:func:`_mirrors_by_half_period`), its
+information sums the rows m <= N/2 only, and in the compound information a
+count vector and its reverse have the same likelihood half a period apart,
+so only one of each such pair is evaluated.
 """
 
 import math
@@ -138,6 +138,13 @@ STATE_FAMILIES = {"fock": fock_state, "noon": noon_state}
 def _check_phase(phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=np.float64)
     if not np.all(np.isfinite(phi)):
+        raise ValueError("phase values must be finite")
+    return phi
+
+
+def _check_scalar_phase(phi) -> float:
+    """One phase as a float, checked as :func:`_check_phase` checks arrays."""
+    if not math.isfinite(phi := float(phi)):
         raise ValueError("phase values must be finite")
     return phi
 
@@ -344,7 +351,7 @@ def outcome_distribution(state: StateCoefficients, phi: float,
                          geometry: InterferometerGeometry = DEFAULT_GEOMETRY
                          ) -> np.ndarray:
     """Probabilities of all N+1 outcomes at one phase, ordered by n_c."""
-    phi = float(_check_phase(phi))
+    phi = _check_scalar_phase(phi)
     amps = _outcome_amplitudes(state.coeffs,
                                _phase_factors(state.n, np.array([phi]), geometry))
     return _clamp_probs(np.abs(amps[:, 0]) ** 2)

@@ -19,14 +19,11 @@ With P = |A|^2, I_m = w sum_k P_mk and G = dH/dP = (w/2pi) log2(2pi P / I_m):
     g_c = (g - u Re<u, g>) / |c|     gradient with respect to c,
 
 whose real and imaginary parts are the real gradient; it is orthogonal
-to c and to i*c.  On an odd grid m runs over all N+1 outcomes, with
-multiplicity mu_m = 1.  On an even grid row N-m is row m shifted by pi,
-half the grid (swapping the output ports is a phase shift of pi; see
-:mod:`~mzfidelity.optics`), so its terms in H and g equal row m's: only
-the rows m <= N/2 are computed, the terms of each m < N/2 count twice
-(mu_m = 2) and the middle row m = N/2 of an even N, its own mirror,
-once.  Each restart is an L-BFGS search (Liu and Nocedal, Math. Prog. 45,
-503 (1989)) on the coarse search grid, with a strong Wolfe line search
+to c and to i*c.  On an even grid row N-m is row m shifted by pi (see
+:mod:`~mzfidelity.optics`): only the rows m <= N/2 are computed, with the
+multiplicity mu_m of :func:`~mzfidelity.fidelity._count_mirrors` (1 on an
+odd grid).  Each restart is an L-BFGS search (Liu and Nocedal, Math. Prog.
+45, 503 (1989)) on the coarse search grid, with a strong Wolfe line search
 (Nocedal and Wright, *Numerical Optimization*, section 3.5).  It stops when
 an iteration lowers -H by at most ``tol_bits`` relative to max(|H_k|,
 |H_k+1|, 1), or when no gradient component exceeds GRADIENT_TOL.  The first
@@ -40,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fidelity import TWO_PI, _information_terms, mutual_information
+from .fidelity import TWO_PI, _count_mirrors, _information_terms, mutual_information
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid, _integer
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, StateCoefficients,
                      _clamp_probs, _distinct_rows, _grid_stage,
@@ -142,8 +139,6 @@ def _negative_information(n_photons: int, grid: PhaseGrid,
     dim = n_photons + 1
     stage = _grid_stage(n_photons, grid, geometry)
     rows = _distinct_rows(n_photons, grid.size)
-    # rows m < N/2 whose mirrors N-m are left out: multiplicity 2
-    doubled = dim - rows
 
     def objective(x: np.ndarray):
         coeffs = x[:dim] + 1j * x[dim:]
@@ -153,16 +148,14 @@ def _negative_information(n_photons: int, grid: PhaseGrid,
         probs = np.abs(amps)
         np.square(probs, out=probs)
         terms, log_ratio = _information_terms(_clamp_probs(probs), grid.weight)
-        terms[:doubled] *= 2.0
-        h = math.fsum(terms)
-        log_ratio[:doubled] *= 2.0
+        _count_mirrors(dim, terms, log_ratio)
         np.conjugate(amps, out=amps)
         np.multiply(amps, log_ratio, out=amps)
         grad = (2.0 * grid.weight / TWO_PI) * np.conjugate(
             _outcome_amplitudes_transpose(amps, stage))
         grad -= unit * np.vdot(unit, grad).real
         grad /= norm
-        return -h, -np.concatenate([grad.real, grad.imag])
+        return -math.fsum(terms), -np.concatenate([grad.real, grad.imag])
 
     return objective
 

@@ -1,10 +1,17 @@
 """Posterior construction, peak counting, circular statistics, simulation."""
 
+import cmath
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import mzfidelity
 
 from mzfidelity import (Outcome, PhaseGrid, StateCoefficients,
                         UndefinedCircularMeanError,
@@ -295,6 +302,59 @@ def test_circular_summary_uniform_undefined():
     post = PhasePosterior(grid=grid, density=np.full(256, 1 / (2 * np.pi)))
     with pytest.raises(UndefinedCircularMeanError):
         circular_summary(post)
+
+
+@pytest.mark.parametrize("size", [2, 3, 7, 1000, 8192])
+def test_circular_summary_matches_exponential_resultant(size):
+    # the resultant from the cached roots of unity against e^{i phi_k}
+    # taken point by point, on odd grids and through the phi = pi column
+    grid = PhaseGrid(size)
+    rng = np.random.default_rng(size)
+    densities = [rng.random(size) ** power for power in (1, 4, 16)]
+    for k in (0, size // 2, size - 1):  # point masses, the last at phi = pi
+        densities.append(np.zeros(size))
+        densities[-1][k] = 1.0
+    for density in densities:
+        density = density / grid.integrate(density)
+        z = grid.integrate(density * np.exp(1j * grid.points))
+        mean, std = circular_summary(PhasePosterior(grid=grid, density=density))
+        assert abs(cmath.rect(math.exp(-0.5 * std ** 2), mean) - z) <= 2e-15
+    uniform = PhasePosterior(grid=grid, density=np.full(size, 1 / (2 * np.pi)))
+    with pytest.raises(UndefinedCircularMeanError):  # its z is 0 up to round-off
+        circular_summary(uniform)
+
+
+@pytest.mark.parametrize("size", [2, 3, 8192])
+def test_circular_mean_at_pi_is_pi(size):
+    # the mean lies on (-pi, pi]: a resultant on the negative real axis,
+    # whose imaginary part is 0 or round-off of either sign, gives pi
+    grid = PhaseGrid(size)
+    density = np.zeros(size)
+    density[-1] = 1.0 / grid.weight
+    assert circular_summary(PhasePosterior(grid=grid, density=density))[0] == math.pi
+    if size < 8192:  # Im z relative to Re z far under an ulp of pi, of either sign
+        # all mass at pi but a round-off tail at phi = 0 (1e-65 on two points)
+        table = likelihood_table(fock_state(3), grid_size=size)
+        assert circular_summary(posterior_for_outcome(table, Outcome(3, 0)))[0] == math.pi
+
+
+def test_circular_summary_does_not_depend_on_thread_count():
+    # the resultant is a BLAS product, whose summation order could follow
+    # the thread count
+    src = str(Path(mzfidelity.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("from mzfidelity import *; table = likelihood_table(fock_state(25)); "
+            "print([repr(circular_summary(posterior_for_outcome(table, Outcome(m, 25 - m))))"
+            " for m in range(26)])")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_circular_summary_two_peaks_misleading_width():

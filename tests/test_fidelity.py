@@ -171,6 +171,55 @@ def test_translation_invariance():
         assert mutual_information(rolled).h_bits == pytest.approx(h, abs=1e-10)
 
 
+def _all_rows_information(table):
+    """H as the sum of every row's terms, mirrored rows and all."""
+    return max(math.fsum(fidelity._information_terms(table.probs, table.grid.weight)[0]), 0.0)
+
+
+def test_information_over_distinct_rows_matches_all_rows():
+    # on an even grid row N-m of a table is row m rolled by half a period,
+    # so its terms equal row m's up to the order of the row sums
+    for n in range(1, MAX_PHOTONS + 1):
+        for state in (fock_state(n), noon_state(n)):
+            table = likelihood_table(state, grid_size=1024)
+            assert abs(mutual_information(table).h_bits - _all_rows_information(table)) <= 1e-15
+    rng = np.random.default_rng(28)
+    for n in range(1, 41):
+        coeffs = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        table = likelihood_table(StateCoefficients(coeffs / np.linalg.norm(coeffs)))
+        assert abs(mutual_information(table).h_bits - _all_rows_information(table)) <= 1e-15
+
+
+def test_information_evaluates_only_distinct_rows(monkeypatch):
+    evaluated = []
+    information_terms = fidelity._information_terms
+
+    def spy(probs, weight):
+        evaluated.append(len(probs))
+        return information_terms(probs, weight)
+
+    monkeypatch.setattr(fidelity, "_information_terms", spy)
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 5, 6):
+        coeffs = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        state = StateCoefficients(coeffs / np.linalg.norm(coeffs))
+        even, odd = (likelihood_table(state, grid_size=size) for size in (64, 63))
+        raw = rng.uniform(0.01, 1.0, size=(n + 1, 64))
+        unmirrored = _table_from_rows(raw / raw.sum(axis=0))
+        # the row count is the table's, not n_total's
+        mislabelled = _table_from_rows(even.probs, n_total=2 * n + 3)
+        for table, rows in ((even, n // 2 + 1), (odd, n + 1), (unmirrored, n + 1),
+                            (mislabelled, n // 2 + 1)):
+            evaluated.clear()
+            h = mutual_information(table).h_bits
+            assert evaluated == [rows]
+            expected = _all_rows_information(table)
+            if rows == n + 1:
+                assert h == expected
+            else:
+                assert abs(h - expected) <= 1e-15
+
+
 def test_information_is_non_negative_and_bounded():
     rng = np.random.default_rng(8)
     for n_rows in (2, 4, 7):

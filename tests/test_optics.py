@@ -13,7 +13,8 @@ import pytest
 
 import mzfidelity
 from mzfidelity import (DEFAULT_GEOMETRY, InterferometerGeometry, OptimizerConfig,
-                        Outcome, PhaseGrid, StateCoefficients, fidelity_sweep,
+                        Outcome, PhaseGrid, StateCoefficients,
+                        error_propagation_sensitivity, fidelity_sweep,
                         fock_outcome_prob, fock_state, likelihood_table,
                         noon_outcome_prob, noon_state, outcome_distribution, optics,
                         repeated_mutual_information, simulate_sequence)
@@ -132,6 +133,15 @@ def test_matrix_at_pi_transmits():
 def test_matrix_rejects_non_finite_phase():
     with pytest.raises(ValueError):
         build_scattering_matrix(np.inf)
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, np.float64(-math.inf)])
+def test_single_phase_paths_reject_non_finite_phase(phi):
+    for call in (lambda: outcome_distribution(fock_state(2), phi),
+                 lambda: error_propagation_sensitivity(fock_state(2), working_point=phi),
+                 lambda: simulate_sequence(fock_state(2), true_phase=phi)):
+        with pytest.raises(ValueError, match="phase values must be finite"):
+            call()
 
 
 def test_unitarity_random_phases_and_geometries():

@@ -233,7 +233,7 @@ def test_search_grid_follows_photon_number(tmp_path):
         OptimizerConfig(search_grid_size=1)
     # the former default grid at N=12 gives the former default optimum
     result = optimize_input_state(12, OptimizerConfig(search_grid_size=1024))
-    assert repr(result.best_h_bits) == "1.9400289319822164"
+    assert repr(result.best_h_bits) == "1.9400289319822168"
     assert result.evaluations == 300
     # the default search at N=12 runs on the 512-point grid
     assert (optimize_input_state(12).history
