@@ -25,9 +25,8 @@ RESULTANT_TOL = 1e-12
 
 @dataclass(eq=False)
 class PhasePosterior:
-    """Normalized posterior density p(phi_k | m) on a phase grid.
-
-    ``peaks`` is filled in by :func:`count_peaks` as a list of
+    """Normalized posterior density p(phi_k | m), one value per point of a
+    phase grid (else ValueError); :func:`count_peaks` fills ``peaks`` with
     (location, height) pairs sorted by location.
     """
 
@@ -35,13 +34,15 @@ class PhasePosterior:
     density: np.ndarray
     peaks: list = field(default_factory=list)
 
+    def __post_init__(self):
+        if np.shape(self.density) != (self.grid.size,):
+            raise ValueError(f"posterior density of shape {np.shape(self.density)} on {self.grid}")
+
 
 @dataclass(eq=False)
 class MeasurementRecord:
-    """Seeded sequence of outcomes drawn at a fixed true phase."""
+    """The outcomes drawn, one per shot, in the order drawn."""
 
-    true_phase: float
-    seed: int
     outcomes: list
 
 
@@ -56,12 +57,10 @@ def posterior_density(likelihood_row, grid: PhaseGrid) -> PhasePosterior:
 
     p(phi_k|m) = P(m|phi_k) / sum_j P(m|phi_j) * weight.  A row that is
     zero everywhere has no posterior (the outcome cannot occur at any
-    phase) and raises :class:`ZeroProbabilityOutcomeError`.
+    phase) and raises :class:`ZeroProbabilityOutcomeError`; a negative or
+    non-finite value, or not one per grid point, raises ValueError.
     """
     row = np.asarray(likelihood_row, dtype=np.float64)
-    if row.shape != (grid.size,):
-        raise ValueError(f"likelihood row has shape {row.shape}, expected "
-                         f"({grid.size},)")
     if np.any(row < 0) or not np.all(np.isfinite(row)):
         raise ValueError("likelihood values must be finite and non-negative")
     norm = grid.integrate(row)
@@ -140,7 +139,8 @@ def circular_summary(posterior: PhasePosterior):
             f"circular resultant length {resultant} is numerically zero; "
             "the circular mean is undefined")
     mean = math.atan2(imag, real)  # on (-pi, pi]: -pi, the same angle, is pi
-    return (math.pi if mean == -math.pi else mean), math.sqrt(-2.0 * math.log(min(resultant, 1.0)))
+    std = math.sqrt(-2.0 * math.log(min(resultant, 1.0))) + 0.0  # a point mass: not -0.0
+    return (math.pi if mean == -math.pi else mean), std
 
 
 def _posterior_from_log(log_likelihood: np.ndarray, grid: PhaseGrid) -> PhasePosterior:
@@ -160,11 +160,11 @@ def simulate_sequence(state: StateCoefficients,
                       grid_size: int = DEFAULT_GRID_SIZE) -> SimulationResult:
     """Draw i.i.d. outcomes at a fixed phase and the posterior they give.
 
-    Outcomes are sampled from P(m | true_phase) with a seeded generator,
-    so a fixed seed reproduces the record bit-for-bit.  The posterior is
-    exp(sum_m M_m ln P(m|phi)) over the outcome counts M_m of all shots
-    (:meth:`LikelihoodTable.log_likelihood`, which makes it exactly 0 where
-    a counted outcome has P = 0), normalized.
+    Outcomes are sampled from P(m | true_phase) with a generator seeded by
+    ``seed``, an integer >= 0, so a fixed seed reproduces the record
+    bit-for-bit.  The posterior is exp(sum_m M_m ln P(m|phi)) over the
+    outcome counts M_m of all shots (:meth:`LikelihoodTable.log_likelihood`,
+    which makes it exactly 0 where a counted outcome has P = 0), normalized.
 
     Returns
     -------
@@ -173,6 +173,7 @@ def simulate_sequence(state: StateCoefficients,
         posterior given all of them.
     """
     shots = _integer(shots, "shots", minimum=1)
+    seed = _integer(seed, "seed", minimum=0)
     grid = PhaseGrid(grid_size)
     true_phase = _check_scalar_phase(true_phase)
 
@@ -184,6 +185,5 @@ def simulate_sequence(state: StateCoefficients,
     labels = [Outcome(n_c, state.n - n_c) for n_c in range(state.n + 1)]
     counts = np.bincount(draws, minlength=state.n + 1)
     posterior = _posterior_from_log(table.log_likelihood(counts[None, :])[0], table.grid)
-    record = MeasurementRecord(true_phase=true_phase, seed=int(seed),
-                               outcomes=[labels[n_c] for n_c in draws.tolist()])
+    record = MeasurementRecord(outcomes=[labels[n_c] for n_c in draws.tolist()])
     return SimulationResult(record=record, final_posterior=posterior)

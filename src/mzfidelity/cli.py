@@ -79,7 +79,7 @@ def load_state(spec: str, n_photons) -> StateCoefficients:
     if n_photons is not None and coeffs.size != n_photons + 1:
         raise ValueError(f"coefficient file {spec!r} has {coeffs.size} lines "
                          f"but --n {n_photons} needs {n_photons + 1}")
-    return StateCoefficients(coeffs / norm, label="custom")
+    return StateCoefficients(coeffs / norm)
 
 
 def _require_n(n_photons) -> int:
@@ -229,9 +229,8 @@ def cmd_fidelity(args) -> None:
     elif args.state is None:
         raise ValueError("either --state or --sweep is required")
     else:
-        state = _load(args)
-        rows = [(state.label,
-                 mutual_information(likelihood_table(state, geometry, args.grid)))]
+        label = args.state if args.state in STATE_FAMILIES else "custom"
+        rows = [(label, mutual_information(likelihood_table(_load(args), geometry, args.grid)))]
     csv_rows = (f"{label},{report.n_photons},{_fmt(report.h_bits)}"
                 for label, report in rows)
     _emit(args, "fidelity", "csv", _csv(["state", "N", "H_bits"], csv_rows),
@@ -253,7 +252,7 @@ def cmd_optimize(args) -> None:
         "n_photons": args.n,
         "best_h_bits": _round12(result.best_h_bits),
         "best_state": {
-            "label": result.best_state.label,
+            "label": "custom",
             "coefficients": [[_round12(c.real), _round12(c.imag)]
                              for c in result.best_state.coeffs],
         },

@@ -22,13 +22,12 @@ import numpy as np
 from .exceptions import ResourceLimitError, StationaryPointError
 from .grid import DEFAULT_GRID_SIZE, _integer
 from .optics import (DEFAULT_GEOMETRY, PROB_FLOOR, STATE_FAMILIES, InterferometerGeometry,
-                     LikelihoodTable, StateCoefficients, likelihood_table, _check_scalar_phase,
-                     _clamp_probs, _log_probs, _mirrors_by_half_period, _outcome_amplitudes,
-                     _phase_factors, _LOG_ZERO)
+                     LikelihoodTable, StateCoefficients, likelihood_table, _check_columns,
+                     _check_scalar_phase, _clamp_probs, _log_probs, _mirrors_by_half_period,
+                     _outcome_amplitudes, _phase_factors, _LOG_ZERO)
 
 TWO_PI = 2.0 * math.pi
 LOG2_E = 1.0 / math.log(2.0)
-COLUMN_SUM_TOL = 1e-8
 SLOPE_TOL = 1e-12
 # count vectors of a compound table, over all outcomes: a time cap, since
 # they are enumerated a block at a time
@@ -62,7 +61,6 @@ class SensitivityEstimate:
     delta_phi: float
     delta_m: float
     slope: float
-    working_point: float
 
 
 def standard_limit(n: int) -> float:
@@ -98,23 +96,13 @@ def _count_mirrors(outcomes: int, *arrays: np.ndarray) -> None:
         array[:outcomes - len(array)] *= 2.0
 
 
-def _check_columns(column_sums: np.ndarray) -> None:
-    column_defect = float(np.abs(column_sums - 1.0).max())
-    # a NaN or infinite entry makes its column's defect NaN or infinite
-    if not column_defect <= COLUMN_SUM_TOL:
-        raise ValueError(f"likelihood columns must be finite and sum to 1 (max "
-                         f"defect {column_defect:.3e}, tolerance {COLUMN_SUM_TOL})")
-
-
 def mutual_information(table: LikelihoodTable) -> FidelityReport:
     """Mutual information, in bits, carried by one use of the device.
 
-    The table columns must each sum to 1 (complete outcome set); a table
-    violating that is rejected rather than silently renormalized.  Rows that
-    mirror by half a period (every even-grid table) are summed over m <= N/2,
-    each m < N/2 twice and the middle row of an even N once.
+    The table checked its columns when it was built (:class:`LikelihoodTable`).
+    Rows that mirror by half a period (every even-grid table) are summed over
+    m <= N/2, each m < N/2 twice and the middle row of an even N once.
     """
-    _check_columns(table.probs.sum(axis=0))
     rows = (table.outcome_count + 1) // 2 if _mirrors_by_half_period(table.probs) else None
     terms = _information_terms(table.probs[:rows], table.grid.weight)[0]
     _count_mirrors(table.outcome_count, terms)
@@ -317,7 +305,8 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
     reduced to their terms (of H(V|phi) too with at most two outcomes), so
     at most two doubles per evaluated vector outlive its block.
     More than ``MAX_COUNT_VECTORS`` vectors (over all outcomes) raise
-    ResourceLimitError before anything is enumerated.
+    ResourceLimitError before anything is enumerated.  The table's column
+    sums are checked when it is built, the compound table's here.
     """
     repeats = _integer(repeats, "repeats", minimum=1)
     n_vectors = math.comb(repeats + table.outcome_count - 1, repeats)
@@ -325,7 +314,6 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
         raise ResourceLimitError(f"{n_vectors} compound count vectors exceed the "
                                  f"cap of {MAX_COUNT_VECTORS}")
 
-    _check_columns(table.probs.sum(axis=0))  # also rejects all-zero tables
     probs = table.probs[table.probs.any(axis=1)]
     binomial = len(probs) <= 2
     subgrid = table.grid.size if binomial else _exact_subgrid(probs, table.n_total, repeats)
@@ -381,5 +369,4 @@ def error_propagation_sensitivity(state: StateCoefficients,
             f"mean observable is stationary at phi={working_point!r}; "
             "error propagation does not apply")
     delta_m = math.sqrt(max(variance, 0.0))
-    return SensitivityEstimate(delta_phi=delta_m / abs(slope), delta_m=delta_m,
-                               slope=slope, working_point=working_point)
+    return SensitivityEstimate(delta_phi=delta_m / abs(slope), delta_m=delta_m, slope=slope)

@@ -48,6 +48,7 @@ from .grid import DEFAULT_GRID_SIZE, PhaseGrid, _integer
 # of subnormal noise downstream)
 PROB_FLOOR = 1e-300
 NORM_TOL = 1e-12
+COLUMN_SUM_TOL = 1e-8
 # stands for ln 0: finite, so 0 times it is 0 (0 ln 0 = 0), and any count
 # from 1 to 1e8 times it is far below -745, so exp gives an exact 0
 _LOG_ZERO = -1e300
@@ -92,7 +93,6 @@ class StateCoefficients:
     """Unit-norm complex amplitudes c_0..c_N over the basis |n_a, (N-n)_b>."""
 
     coeffs: np.ndarray
-    label: str = "custom"
 
     def __post_init__(self):
         coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128))
@@ -115,7 +115,7 @@ def fock_state(n: int) -> StateCoefficients:
     n = _integer(n, "photon number", minimum=0)
     coeffs = np.zeros(n + 1, dtype=np.complex128)
     coeffs[n] = 1.0
-    return StateCoefficients(coeffs, label="fock")
+    return StateCoefficients(coeffs)
 
 
 def noon_state(n: int) -> StateCoefficients:
@@ -129,7 +129,7 @@ def noon_state(n: int) -> StateCoefficients:
     n = _integer(n, "photon number", minimum=1)
     coeffs = np.zeros(n + 1, dtype=np.complex128)
     coeffs[0] = coeffs[n] = 1.0 / math.sqrt(2.0)
-    return StateCoefficients(coeffs, label="noon")
+    return StateCoefficients(coeffs)
 
 
 STATE_FAMILIES = {"fock": fock_state, "noon": noon_state}
@@ -162,22 +162,27 @@ def _clamp_probs(p: np.ndarray) -> np.ndarray:
     return p
 
 
+def _closed_form(n_total, minimum: int, outcome: Outcome, phi, formula):
+    """P(outcome | phi) = ``formula(C(N, n_c), sin(phi/2), cos(phi/2))`` for an
+    outcome of N >= ``minimum`` photons, else 0; clamped, a float for scalar phi."""
+    n_total = _integer(n_total, "photon number", minimum=minimum)
+    phi = _check_phase(phi)
+    if outcome.total != n_total:
+        return np.zeros_like(phi) if phi.ndim else 0.0
+    p = formula(float(math.comb(n_total, outcome.n_c)), np.sin(0.5 * phi), np.cos(0.5 * phi))
+    p = _clamp_probs(np.atleast_1d(np.asarray(p, dtype=np.float64)))
+    return p if phi.ndim else float(p[0])
+
+
 def fock_outcome_prob(n_total: int, outcome: Outcome, phi):
     """Outcome probability for the all-photons-in-port-a input, closed form.
 
     P(n_c, n_d | phi) = [N!/(n_c! n_d!)] sin^{2 n_c}(phi/2) cos^{2 n_d}(phi/2)
     when n_c + n_d = N, else 0.  Accepts scalar or array phi.
     """
-    n_total = _integer(n_total, "photon number", minimum=0)
-    phi = _check_phase(phi)
-    if outcome.total != n_total:
-        return np.zeros_like(phi) if phi.ndim else 0.0
-    half = 0.5 * phi
-    p = float(math.comb(n_total, outcome.n_c)) \
-        * np.sin(half) ** (2 * outcome.n_c) \
-        * np.cos(half) ** (2 * outcome.n_d)
-    p = _clamp_probs(np.atleast_1d(np.asarray(p, dtype=np.float64)))
-    return p if phi.ndim else float(p[0])
+    n_c, n_d = outcome.n_c, outcome.n_d
+    return _closed_form(n_total, 0, outcome, phi,
+                        lambda binomial, s, c: binomial * s ** (2 * n_c) * c ** (2 * n_d))
 
 
 def noon_outcome_prob(n_total: int, outcome: Outcome, phi):
@@ -194,16 +199,9 @@ def noon_outcome_prob(n_total: int, outcome: Outcome, phi):
     to (cos, -sin)(phi/2), which leaves the bracket unchanged, so every
     outcome probability has period pi.
     """
-    n_total = _integer(n_total, "photon number", minimum=1)
-    phi = _check_phase(phi)
-    if outcome.total != n_total:
-        return np.zeros_like(phi) if phi.ndim else 0.0
-    s, c = np.sin(0.5 * phi), np.cos(0.5 * phi)
-    bracket = (s ** outcome.n_c * c ** outcome.n_d
-               + (-1) ** outcome.n_c * s ** outcome.n_d * c ** outcome.n_c)
-    p = 0.5 * float(math.comb(n_total, outcome.n_c)) * bracket ** 2
-    p = _clamp_probs(np.atleast_1d(np.asarray(p, dtype=np.float64)))
-    return p if phi.ndim else float(p[0])
+    n_c, n_d = outcome.n_c, outcome.n_d
+    return _closed_form(n_total, 1, outcome, phi, lambda binomial, s, c: 0.5 * binomial
+                        * (s ** n_c * c ** n_d + (-1) ** n_c * s ** n_d * c ** n_c) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +355,28 @@ def outcome_distribution(state: StateCoefficients, phi: float,
     return _clamp_probs(np.abs(amps[:, 0]) ** 2)
 
 
+def _check_columns(column_sums: np.ndarray) -> None:
+    column_defect = float(np.abs(column_sums - 1.0).max())
+    # a NaN or infinite entry makes its column's defect NaN or infinite
+    if not column_defect <= COLUMN_SUM_TOL:
+        raise ValueError(f"likelihood columns must be finite and sum to 1 (max "
+                         f"defect {column_defect:.3e}, tolerance {COLUMN_SUM_TOL})")
+
+
 @dataclass(eq=False)
 class LikelihoodTable:
-    """P(m | phi_k) on a phase grid; row m is the outcome (m, N-m)."""
+    """P(m | phi_k) on a phase grid; row m is the outcome (m, N-m).  ValueError when built
+    unless probs is 2-D with one column per grid point, each finite and summing to 1."""
 
     grid: PhaseGrid
     probs: np.ndarray
     n_total: int
+
+    def __post_init__(self):
+        if np.ndim(self.probs) != 2 or np.shape(self.probs)[1] != self.grid.size:
+            raise ValueError(f"a likelihood table on {self.grid} needs 2-D probs "
+                             f"with {self.grid.size} columns, got {np.shape(self.probs)}")
+        _check_columns(self.probs.sum(axis=0))
 
     @property
     def outcome_count(self) -> int:

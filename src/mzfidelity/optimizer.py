@@ -120,7 +120,7 @@ def project_normalize(raw) -> StateCoefficients:
     phase = coeffs[anchor] / abs(coeffs[anchor])
     coeffs = coeffs * phase.conjugate()
     coeffs[anchor] = abs(coeffs[anchor])
-    return StateCoefficients(coeffs, label="custom")
+    return StateCoefficients(coeffs)
 
 
 def _seed_vectors(n_photons: int, config: OptimizerConfig) -> list:

@@ -84,6 +84,16 @@ def test_posterior_rejects_bad_rows():
         posterior_density(np.ones(4), grid)
 
 
+def test_posterior_rejects_density_off_its_grid():
+    # a 32-point posterior labelled as 64 points put its peak at pi/2, not pi
+    density = posterior_for_outcome(likelihood_table(fock_state(1), grid_size=32),
+                                    Outcome(1, 0)).density
+    for grid, values in ((PhaseGrid(64), density), (PhaseGrid(32), density[None])):
+        with pytest.raises(ValueError, match="posterior density of shape"):
+            PhasePosterior(grid=grid, density=values)
+    assert count_peaks(PhasePosterior(grid=PhaseGrid(32), density=density)) == 1
+
+
 def test_posterior_normalization_all_outcomes():
     for state in (fock_state(25), noon_state(25)):
         table = likelihood_table(state, grid_size=512)
@@ -324,6 +334,14 @@ def test_circular_summary_matches_exponential_resultant(size):
         circular_summary(uniform)
 
 
+def test_point_mass_std_is_positive_zero():
+    # |z| = 1 gives sqrt(-2 ln 1) = sqrt(-0.0), which is -0.0
+    table = likelihood_table(fock_state(1), grid_size=2)
+    mean, std = circular_summary(posterior_for_outcome(table, Outcome(1, 0)))
+    assert (mean, std) == (math.pi, 0.0)
+    assert math.copysign(1.0, std) == 1.0
+
+
 @pytest.mark.parametrize("size", [2, 3, 8192])
 def test_circular_mean_at_pi_is_pi(size):
     # the mean lies on (-pi, pi]: a resultant on the negative real axis,
@@ -375,6 +393,21 @@ def test_simulate_validates_inputs():
         simulate_sequence(fock_state(1), shots=0)
     with pytest.raises(ValueError):
         simulate_sequence(fock_state(1), true_phase=np.nan, shots=1)
+
+
+def test_simulate_checks_seed_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the seed was checked")
+
+    kwargs = dict(true_phase=0.4, shots=50, grid_size=64)
+    seven = simulate_sequence(fock_state(2), seed=7, **kwargs)
+    assert simulate_sequence(fock_state(2), seed=7.0, **kwargs).record.outcomes \
+        == seven.record.outcomes
+    monkeypatch.setattr(bayes, "likelihood_table", no_work)
+    monkeypatch.setattr(bayes, "outcome_distribution", no_work)
+    for seed in (None, 2.5, "3", -1):
+        with pytest.raises(ValueError, match="seed"):
+            simulate_sequence(fock_state(2), seed=seed, **kwargs)
 
 
 def test_simulate_deterministic():

@@ -190,6 +190,17 @@ def test_posterior_vacuum_has_no_circular_mean(tmp_path, capsys):
     assert summary["peak_count"] == 1
 
 
+def test_posterior_point_mass_std_is_positive_zero(tmp_path, capsys):
+    # all the mass at pi: |z| = 1, whose std sqrt(-2 ln 1) was written -0.0
+    out_path = tmp_path / "point.csv"
+    code, _, _ = run_cli(["posterior", "--state", "fock", "--n", "1", "--outcome", "1,0",
+                          "--grid", "2", "--out", str(out_path)], capsys)
+    assert code == 0
+    text = (tmp_path / "point.csv.summary.json").read_text()
+    assert '"circular_std": 0.0,' in text
+    assert json.loads(text)["circular_mean"] == 3.14159265359
+
+
 def test_posterior_impossible_outcome_exit_code(capsys):
     code, _, err = run_cli(["posterior", "--state", "noon", "--n", "2",
                             "--outcome", "1,1", "--grid", "64"], capsys)

@@ -141,6 +141,20 @@ def test_rejects_unnormalized_columns():
         mutual_information(_table_from_rows(rows))
 
 
+def test_table_rejects_probs_off_its_grid():
+    # fock 1 on 16 points, labelled as 8 or 32 points, gave H = 0.0 or
+    # 0.7218 bits instead of 0.4435, and a broadcast error in the compound
+    probs = likelihood_table(fock_state(1), grid_size=16).probs
+    for size in (8, 32):
+        with pytest.raises(ValueError, match=f"2-D probs with {size} columns"):
+            LikelihoodTable(grid=PhaseGrid(size), probs=probs, n_total=1)
+    for wrong_rank in (probs[0], probs[None]):
+        with pytest.raises(ValueError, match="2-D probs with 16 columns"):
+            LikelihoodTable(grid=PhaseGrid(16), probs=wrong_rank, n_total=1)
+    table = LikelihoodTable(grid=PhaseGrid(16), probs=probs, n_total=1)
+    assert mutual_information(table).h_bits == pytest.approx(0.4435, abs=1e-4)
+
+
 def test_information_does_not_depend_on_thread_count():
     # a BLAS reduction may sum in an order that depends on its thread count
     src = str(Path(mzfidelity.__file__).resolve().parents[1])
@@ -443,9 +457,9 @@ def test_repeats_with_isolated_zero_cells(monkeypatch):
     monkeypatch.setattr(fidelity, "_check_columns", record_and_check)
     h = repeated_mutual_information(_table_from_rows(rows, n_total=2), 6).h_bits
     assert h == pytest.approx(_long_double_compound_h(rows, 6), abs=1e-13)
-    # the table's columns, then the compound table's
-    assert len(column_sums) == 2
-    np.testing.assert_allclose(column_sums[1], 1.0, rtol=0.0, atol=1e-13)
+    # the compound table's columns: the table checked its own when built
+    assert len(column_sums) == 1
+    np.testing.assert_allclose(column_sums[0], 1.0, rtol=0.0, atol=1e-13)
 
 
 def _random_state(rng, n):

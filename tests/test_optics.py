@@ -103,7 +103,6 @@ def test_state_coefficients_validation():
             StateCoefficients(coeffs)
     state = fock_state(3)
     assert state.n == 3
-    assert state.label == "fock"
     assert state.coeffs[3] == 1.0
     noon = noon_state(3)
     assert noon.coeffs[0] == noon.coeffs[3] == pytest.approx(1 / math.sqrt(2))

@@ -59,7 +59,6 @@ def test_project_normalize_unit_norm():
     raw = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     state = project_normalize(raw)
     assert np.sum(np.abs(state.coeffs) ** 2) == pytest.approx(1.0, abs=1e-12)
-    assert state.label == "custom"
 
 
 def test_project_normalize_rejects_zero():
