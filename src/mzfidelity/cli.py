@@ -244,7 +244,7 @@ def cmd_optimize(args) -> None:
                              tol_bits=args.tol_bits,
                              seed=args.seed,
                              search_grid_size=args.search_grid,
-                             report_grid_size=args.grid).resolved(n_photons)
+                             report_grid_size=args.grid)
     _check_grid(n_photons, max(config.report_grid_size, config.search_grid_size))
     result = optimize_input_state(args.n, config, _geometry(args))
 
@@ -367,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "restart must beat the best by more than this "
                           "(default %(default)s)")
     opt.add_argument("--search-grid", type=int, default=OptimizerConfig.search_grid_size,
-                     help="coarse grid used during the search (default 512 "
-                          "points while 32(N+1) <= 512, that is N <= 15, else 1024)")
+                     help="coarse grid used during the search (default %(default)s)")
     opt.set_defaults(func=cmd_optimize)
 
     sim = sub.add_parser("simulate",

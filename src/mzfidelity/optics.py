@@ -336,15 +336,6 @@ def _outcome_amplitudes(coeffs: np.ndarray, stage: np.ndarray,
     return (k[:rows] * (signs * (k @ (phases * coeffs)))) @ stage
 
 
-def _outcome_amplitudes_transpose(values: np.ndarray, stage: np.ndarray) -> np.ndarray:
-    """v -> p K s sum_k stage[n, k] (K[:rows]^T v)[n, k] with rows = len(v),
-    the transpose of :func:`_outcome_amplitudes`: sum(v * A(c)) = c @ this."""
-    k, phases, signs = _beam_splitter(stage.shape[0] - 1)
-    # the sum over k first: (K v)[n, k] never exists
-    return phases * (k @ (signs * np.einsum("mn,mn->n", k[:len(values)],
-                                            values @ stage.T)))
-
-
 def outcome_distribution(state: StateCoefficients, phi: float,
                          geometry: InterferometerGeometry = DEFAULT_GEOMETRY
                          ) -> np.ndarray:

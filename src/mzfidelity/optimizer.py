@@ -1,58 +1,54 @@
 """Search for input states that maximize the interferometer fidelity.
 
-The objective is the mutual information H of the candidate's likelihood
-table, as a function of the 2(N+1) real degrees of freedom (real and
-imaginary parts of the coefficients c).  The candidate is normalized,
-u = c/|c|, before evaluation, so the search is unconstrained; H changes
-neither along c (scale) nor along i*c (global phase), and the global
-phase of the winner is fixed by convention after the search.
+The search runs over the inputs whose phase-stage vector b = s K (p c)
+(:func:`~mzfidelity.optics._outcome_amplitudes`) is real and palindromic,
+b_{N-n} = b_n: the shape of Berry and Wiseman's optimal phase states (PRL
+85, 5098 (2000)), and of every optimum found by searching all inputs.  Its
+unknowns are y = (b_0 .. b_h-1), h = floor(N/2) + 1.  As K[m, N-n] =
+(-1)^m K[m, n], with the weights u_n = 2 (1 for the middle entry n = N/2 of
+an even N), z = y/|b| and |b|^2 = sum_n u_n y_n^2, row m's amplitude is
 
-The amplitudes A = M u = K (E * (s K (p u))) are linear in u (K is the
-beam splitters' real involution, s = (-1)^n and p = i^(3n-N); see
-:func:`~mzfidelity.optics._beam_splitter`), and the phase stage E is built
-once per search, from the grid's M roots of unity, so the analytic gradient
-costs one pass of the engine's transpose M^T, in O(N x grid) memory.
-With P = |A|^2, I_m = w sum_k P_mk and G = dH/dP = (w/2pi) log2(2pi P / I_m):
+    a_m(phi) = sum_{n<h} K[m, n] u_n z_n cos((n - N/2) phi),  sin for odd m,
 
-    H   = sum_m mu_m (w/2pi) sum_k P_mk log2(2pi P_mk / I_m),
-    g   = 2 conj(M^T(mu conj(A) G))  gradient with respect to u,
-    g_c = (g - u Re<u, g>) / |c|     gradient with respect to c,
+up to a phase, so the rows are two real products, one per parity of m,
+with bases built once per search.  With P = a^2, I_m = w sum_k P_mk and
+G = dH/dP = (w/2pi) log2(2pi P / I_m):
 
-whose real and imaginary parts are the real gradient; it is orthogonal
-to c and to i*c.  On an even grid row N-m is row m shifted by pi (see
-:mod:`~mzfidelity.optics`): only the rows m <= N/2 are computed, with the
-multiplicity mu_m of :func:`~mzfidelity.fidelity._count_mirrors` (1 on an
-odd grid).  Each restart is an L-BFGS search (Liu and Nocedal, Math. Prog.
-45, 503 (1989)) on the coarse search grid, with a strong Wolfe line search
-(Nocedal and Wright, *Numerical Optimization*, section 3.5).  It stops when
-an iteration lowers -H by at most ``tol_bits`` relative to max(|H_k|,
-|H_k+1|, 1), or when no gradient component exceeds GRADIENT_TOL.  The first
-two restarts start from the two benchmark states (all photons in one port,
-and the two-sided superposition), so the optimum never falls below either.
+    H     = sum_m mu_m sum_k P_mk G_mk,
+    g_n   = sum_m K[m, n] u_n sum_k 2 mu_m a_mk G_mk basis_m[n, k],
+    dH/dy = (g - u z (g . z)) / |b|,
+
+orthogonal to y, along which H is flat.  On an even grid only the rows
+m <= N/2 are computed, with the multiplicity mu_m of
+:func:`~mzfidelity.fidelity._count_mirrors` (1 on an odd grid).  H depends
+on no geometry: E[n] = e^{i N kl2} e^{i n (phi + kl1 - kl2)} only shifts P
+by kl1 - kl2, so the winner is c = conj(p) K (s b e^{-i n (kl1 - kl2)})
+(:func:`_class_state`), whose table under the geometry is the search's.
+
+Each restart is an L-BFGS search (Liu and Nocedal, Math. Prog. 45, 503
+(1989)) with a strong Wolfe line search (Nocedal and Wright, *Numerical
+Optimization*, section 3.5).  It stops when an iteration lowers -H by at
+most ``tol_bits`` relative to max(|H_k|, |H_k+1|, 1), or when no gradient
+component exceeds GRADIENT_TOL.
 """
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fidelity import TWO_PI, _count_mirrors, _information_terms, mutual_information
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid, _integer
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, StateCoefficients,
-                     _clamp_probs, _distinct_rows, _grid_stage,
-                     _outcome_amplitudes, _outcome_amplitudes_transpose,
-                     fock_state, likelihood_table, noon_state)
+                     _beam_splitter, _clamp_probs, _distinct_rows, likelihood_table)
 
 ZERO_NORM_TOL = 1e-15
 FIRST_NONZERO_TOL = 1e-12
 HISTORY_SIZE = 10             # correction pairs the search keeps
 WOLFE_DECREASE, WOLFE_CURVATURE = 1e-4, 0.9  # c1 and c2 of the strong Wolfe conditions
-GRADIENT_TOL = 1e-5           # a restart ends once no |dH/dx| is larger
+GRADIENT_TOL = 1e-5           # a restart ends once no |dH/dy| is larger
 LINE_SEARCH_EVALUATIONS = 20  # a line search that needs more fails
-# the default search grid: SMALL_SEARCH_GRID points while that is at least
-# SEARCH_POINTS_PER_OUTCOME per outcome (N <= 15), else LARGE_SEARCH_GRID
-SMALL_SEARCH_GRID, LARGE_SEARCH_GRID, SEARCH_POINTS_PER_OUTCOME = 512, 1024, 32
 
 
 @dataclass
@@ -63,32 +59,19 @@ class OptimizerConfig:
     max_iterations: int = 2000
     tol_bits: float = 1e-7
     seed: int = 0
-    # None: 512 points up to N = 15, 1024 above (see resolved).  Measured at
-    # the other defaults, seeds 0-3: for N <= 15 the optimum this search
-    # reports on the report grid is at most 6.1e-8 bits below a 4096-point
-    # search's, under tol_bits; kept up to N = 63 (8 points per outcome) it
-    # falls up to 3.5e-7 below, at N = 45, also at tol_bits 1e-11
-    search_grid_size: int = None
+    # measured at the other defaults: for N = 1..200 at seed 0, and N <= 31
+    # at seeds 1-3, the optimum this search reports on the report grid is
+    # never more than tol_bits below that of a 4096-point search
+    search_grid_size: int = 1024
     report_grid_size: int = DEFAULT_GRID_SIZE
 
     def __post_init__(self):
-        names = [("restarts", 1), ("max_iterations", 1), ("seed", None),
-                 ("report_grid_size", 2)]
-        if self.search_grid_size is not None:  # None is sized from N by resolved
-            names.append(("search_grid_size", 2))
-        for name, minimum in names:
+        for name, minimum in [("restarts", 1), ("max_iterations", 1), ("seed", 0),
+                              ("search_grid_size", 2), ("report_grid_size", 2)]:
             setattr(self, name, _integer(getattr(self, name), name, minimum))
         # an infinite tolerance makes best_value + tol_bits NaN: no restart is kept
         if not (math.isfinite(self.tol_bits) and self.tol_bits > 0):
             raise ValueError(f"tol_bits must be finite and positive, got {self.tol_bits!r}")
-
-    def resolved(self, n_photons: int) -> "OptimizerConfig":
-        """This config with the search grid the search runs on for N photons."""
-        if self.search_grid_size is not None:
-            return self
-        small = SEARCH_POINTS_PER_OUTCOME * (n_photons + 1) <= SMALL_SEARCH_GRID
-        return replace(self,
-                       search_grid_size=SMALL_SEARCH_GRID if small else LARGE_SEARCH_GRID)
 
 
 @dataclass(eq=False)
@@ -124,38 +107,62 @@ def project_normalize(raw) -> StateCoefficients:
 
 
 def _seed_vectors(n_photons: int, config: OptimizerConfig) -> list:
-    """Initial coefficient vectors: the two benchmarks, then random draws."""
+    """Starting halves y: fock, the two-sided input shifted by a quarter
+    period, then random draws."""
     rng = np.random.default_rng(config.seed)
-    seeds = [fock_state(n_photons).coeffs, noon_state(n_photons).coeffs]
-    while len(seeds) < config.restarts:
-        draw = rng.standard_normal(n_photons + 1) + 1j * rng.standard_normal(n_photons + 1)
-        seeds.append(draw)
+    fock = _beam_splitter(n_photons)[0][0, :n_photons // 2 + 1]
+    seeds = [fock, fock * np.cos((2 * np.arange(fock.size) - n_photons) * (np.pi / 4))]
+    seeds += [rng.standard_normal(fock.size) for _ in range(config.restarts - 2)]
     return seeds[:config.restarts]
 
 
-def _negative_information(n_photons: int, grid: PhaseGrid,
-                          geometry: InterferometerGeometry):
-    """The search objective: x = [Re c, Im c] -> (-H, -dH/dx) on ``grid``."""
-    dim = n_photons + 1
-    stage = _grid_stage(n_photons, grid, geometry)
-    rows = _distinct_rows(n_photons, grid.size)
+def _class_state(y: np.ndarray, n_photons: int,
+                 geometry: InterferometerGeometry) -> StateCoefficients:
+    """The input whose table under ``geometry`` is the offset-free table of
+    the palindromic stage vector b with first half ``y``."""
+    k, phases, signs = _beam_splitter(n_photons)
+    b = np.concatenate([y, y[:n_photons + 1 - y.size][::-1]])
+    offset = np.exp(-1j * (geometry.kl1 - geometry.kl2) * np.arange(n_photons + 1))
+    return project_normalize(phases.conj() * (k @ (signs * b * offset)))
 
-    def objective(x: np.ndarray):
-        coeffs = x[:dim] + 1j * x[dim:]
-        norm = np.linalg.norm(coeffs)
-        unit = coeffs / norm
-        amps = _outcome_amplitudes(unit, stage, rows)
-        probs = np.abs(amps)
-        np.square(probs, out=probs)
-        terms, log_ratio = _information_terms(_clamp_probs(probs), grid.weight)
+
+def _negative_information(n_photons: int, grid: PhaseGrid):
+    """The search objective: y -> (-H, -dH/dy) on ``grid``."""
+    dim, half, size = n_photons + 1, n_photons // 2 + 1, grid.size
+    rows = _distinct_rows(n_photons, size)
+    weights = np.full(half, 2.0)
+    if n_photons % 2 == 0:
+        weights[-1] = 1.0  # the middle entry b_{N/2} is its own mirror
+    # (n - N/2) phi_k = (2n - N)(2k - M) pi / 2M, reduced exactly to [0, 2pi)
+    turns = np.multiply.outer(2 * np.arange(half) - n_photons,
+                              2 * np.arange(1, size + 1) - size) % (4 * size)
+    angles = (np.pi / (2 * size)) * turns
+    bases = (np.cos(angles), np.sin(angles))
+    # the rows in two blocks by parity, each on its basis; the block of the
+    # last row comes last, for _count_mirrors leaves the last row single
+    first = rows // 2
+    blocks = [(slice(None, first), bases[rows % 2]),
+              (slice(first, None), bases[(rows - 1) % 2])]
+    order = np.r_[rows % 2:rows:2, (rows - 1) % 2:rows:2]
+    coupling = _beam_splitter(n_photons)[0][order, :half] * weights
+
+    def objective(y: np.ndarray):
+        norm = math.sqrt(weights @ (y * y))
+        unit = y / norm
+        coeffs = coupling * unit
+        amps = np.empty((rows, size))
+        for block, basis in blocks:
+            np.matmul(coeffs[block], basis, out=amps[block])
+        probs = _clamp_probs(np.square(amps))
+        terms, log_ratio = _information_terms(probs, grid.weight)
         _count_mirrors(dim, terms, log_ratio)
-        np.conjugate(amps, out=amps)
         np.multiply(amps, log_ratio, out=amps)
-        grad = (2.0 * grid.weight / TWO_PI) * np.conjugate(
-            _outcome_amplitudes_transpose(amps, stage))
-        grad -= unit * np.vdot(unit, grad).real
+        for block, basis in blocks:
+            np.matmul(amps[block], basis.T, out=coeffs[block])
+        grad = (2.0 * grid.weight / TWO_PI) * np.einsum("mn,mn->n", coupling, coeffs)
+        grad -= weights * unit * (grad @ unit)
         grad /= norm
-        return -math.fsum(terms), -np.concatenate([grad.real, grad.imag])
+        return -math.fsum(terms), -grad
 
     return objective
 
@@ -230,20 +237,22 @@ def optimize_input_state(n_photons: int,
                          config: OptimizerConfig = None,
                          geometry: InterferometerGeometry = DEFAULT_GEOMETRY
                          ) -> OptimizationResult:
-    """Maximize the fidelity over all unit-norm input coefficient vectors.
+    """Maximize the fidelity over the inputs with a real, palindromic
+    phase-stage vector (see the module docstring).
 
     Runs ``config.restarts`` independent L-BFGS searches with the analytic
-    gradient on the coarse search grid and re-evaluates the winner on the
-    reporting grid.  Unless ``config.search_grid_size`` is given, the search
-    grid has 512 points while that is at least 32 per outcome (N <= 15),
-    else 1024 (:meth:`OptimizerConfig.resolved`).  Each search stops after
-    ``config.max_iterations`` iterations, when an iteration lowers -H by at
-    most ``config.tol_bits`` relative to max(|H_k|, |H_k+1|, 1), or when no
-    gradient component exceeds GRADIENT_TOL (1e-5).  A later restart
-    replaces the incumbent only if it beats it by more than
-    ``config.tol_bits``.  Deterministic for a fixed seed.  Every restart
-    enters the history; its record says ``success: False`` if it hit the
-    iteration budget or its line search failed.
+    gradient on the search grid (1024 points by default, at every N) and
+    re-evaluates the winner on the reporting grid.  The first starts from
+    fock, y = K[0, :h], the second from the two-sided input shifted by a
+    quarter period, y = K[0, :h] cos((2n - N) pi/4), whose H is the
+    two-sided input's on a grid of 4k points and only up to quadrature
+    error on others, the rest from random draws.  Each also stops after
+    ``config.max_iterations`` iterations.  A later restart replaces the
+    incumbent only if it beats it by more than ``config.tol_bits``.  The
+    search does not depend on ``geometry``: the winner is the input whose
+    table under it is the table the search saw.  Deterministic for a fixed
+    seed.  Every restart enters the history; its record says ``success:
+    False`` if it hit the iteration budget or its line search failed.
 
     Returns
     -------
@@ -253,23 +262,20 @@ def optimize_input_state(n_photons: int,
         ``best_h_bits`` is the winner re-evaluated on the reporting grid.
     """
     n_photons = _integer(n_photons, "photon number", minimum=1)
-    config = (config or OptimizerConfig()).resolved(n_photons)
+    config = config or OptimizerConfig()
 
-    dim = n_photons + 1
-    objective = _negative_information(n_photons, PhaseGrid(config.search_grid_size),
-                                      geometry)
-    best_x, best_value, history, restarts = None, -np.inf, [], []
+    objective = _negative_information(n_photons, PhaseGrid(config.search_grid_size))
+    best_y, best_value, history, restarts = None, -np.inf, [], []
     for start in _seed_vectors(n_photons, config):
-        x, value, record = _lbfgs(objective, np.concatenate([start.real, start.imag]),
-                                  config.max_iterations, config.tol_bits)
+        y, value, record = _lbfgs(objective, start, config.max_iterations, config.tol_bits)
         history.append(-value)
         restarts.append(record)
         # the optimum is often a continuous family of equal-H states, so a
         # later restart must beat the incumbent by more than the tolerance
         if -value > best_value + config.tol_bits:
-            best_x, best_value = x, -value
+            best_y, best_value = y, -value
 
-    best_state = project_normalize(best_x[:dim] + 1j * best_x[dim:])
+    best_state = _class_state(best_y, n_photons, geometry)
     report = mutual_information(
         likelihood_table(best_state, geometry, config.report_grid_size))
     return OptimizationResult(best_state=best_state, best_h_bits=report.h_bits,

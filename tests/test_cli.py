@@ -311,6 +311,13 @@ def test_optimize_rejects_infinite_tolerance(capsys):
     assert out == ""
 
 
+def test_optimize_rejects_negative_seed(capsys):
+    code, out, err = run_cli(["optimize", "--n", "2", "--restarts", "2",
+                              "--seed", "-1"], capsys)
+    assert code == 2 and "seed" in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
