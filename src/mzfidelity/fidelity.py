@@ -20,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ResourceLimitError, StationaryPointError
-from .grid import DEFAULT_GRID_SIZE, _integer
+from .grid import DEFAULT_GRID_SIZE, PhaseGrid, _integer
 from .optics import (DEFAULT_GEOMETRY, PROB_FLOOR, STATE_FAMILIES, InterferometerGeometry,
                      LikelihoodTable, StateCoefficients, likelihood_table, _check_columns,
-                     _check_scalar_phase, _clamp_probs, _log_probs, _mirrors_by_half_period,
-                     _outcome_amplitudes, _phase_factors, _LOG_ZERO)
+                     _check_scalar_phase, _clamp_probs, _half_grid_basis, _log_probs,
+                     _mirrors_by_half_period, _outcome_amplitudes, _phase_factors, _LOG_ZERO)
 
 TWO_PI = 2.0 * math.pi
 LOG2_E = 1.0 / math.log(2.0)
@@ -125,6 +125,8 @@ def fidelity_sweep(state_family: str, n_max: int,
         raise ValueError(f"unknown state family {state_family!r}; "
                          "expected 'fock' or 'noon'") from None
     n_max = _integer(n_max, "n_max", minimum=1)
+    # built once for the sweep: the table of each N takes its first N+1 rows
+    _half_grid_basis(n_max, PhaseGrid(grid_size).size)
     return [mutual_information(likelihood_table(builder(n), geometry, grid_size))
             for n in range(1, n_max + 1)]
 

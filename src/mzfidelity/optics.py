@@ -21,8 +21,14 @@ the exact dA/dphi).  Both splitter matrices are one real symmetric
 involution K between exact phases, W_L = diag(i^(N-m)) K diag((-1)^n) and
 W_R = K diag(i^(3n-N)), so K is built once per photon number
 (:func:`_beam_splitter`) and the row phases i^(N-m), which no probability
-sees, are never applied.  On the uniform grid E is built from M roots of
-unity (:func:`_grid_stage`).
+sees, are never applied.
+
+On the uniform grid phi_k = -pi + 2 pi k / M a table needs no stage E.  Row
+m of A is sum_n a_mn e^(i n phi), with a = K diag(s K p c) times the
+geometry's phases, so with X and Y the products of [Re a; Im a] with
+cos n phi_k and sin n phi_k, A_m(+-phi_k) = X +- iY: one real product with
+a cached basis over half the grid (:func:`_half_grid_basis`, from M roots
+of unity and independent of the geometry) gives every column.
 
 Swapping the output ports is a phase shift of pi: K[N-m] = s K[m] and
 s_n E[n](phi) = E[n](phi + pi), so P(N-m | phi) = P(m | phi + pi) for every
@@ -36,6 +42,7 @@ so only one of each such pair is evaluated.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -275,24 +282,40 @@ def _roots_of_unity(size: int) -> np.ndarray:
     return roots
 
 
-def _grid_stage(n_total: int, grid: PhaseGrid,
-                geometry: InterferometerGeometry) -> np.ndarray:
-    """:func:`_phase_factors` on ``grid``, from the cached roots of unity:
-    with phi_k = -pi + 2 pi k / M, E[n, k] = E[n](-pi) w^(n k mod M) and
-    w = e^(2 pi i / M)."""
-    size = grid.size
-    stage = np.tile(_roots_of_unity(size), (n_total + 1, 1))
-    # the flat buffer holds w^(i mod M) at every i, so row n is the stride-n
-    # view from i = n; written top row first, it reads only rows below n,
-    # which still hold the roots.  Stopping before i = n M, the last
-    # column's w^0 = 1, keeps the view off row n (numpy would copy it first)
-    flat = stage.reshape(-1)
-    for n in range(n_total, 0, -1):
-        stage[n, :-1] = flat[n:n * size:n]
-    stage[:, -1] = 1.0
-    stage[0] = 1.0
-    stage *= _phase_factors(n_total, np.array([-np.pi]), geometry)
-    return stage
+# grid size -> the basis of the most photons asked for at it, most recent last
+_half_grid_bases = {}
+_half_grid_lock = threading.Lock()
+
+
+def _half_grid_basis(n_total: int, size: int) -> np.ndarray:
+    """[cos n phi_k | sin n phi_k] for n = 0..N and k = 0..M/2 (rounded down)
+    on the grid of M = ``size`` points, phi_k = -pi + 2 pi k / M.
+
+    Entry [n, k] is e^(i n phi_k) = (-1)^n w^(n k mod M), w = e^(2 pi i / M),
+    from the cached roots of unity; at k = 0 its sine is an exact 0.  No
+    geometry enters it, and rows 0..N of any basis are the basis of N, so
+    each of the 4 most recent grid sizes keeps the basis of the most photons
+    asked for there and hands out its rows.  Shared, hence read-only.
+    """
+    with _half_grid_lock:
+        basis = _half_grid_bases.pop(size, None)
+        if basis is None or len(basis) <= n_total:
+            # gathered over the whole grid, though only k <= M/2 is kept:
+            # freeing this grid-sized complex array makes glibc's malloc raise
+            # its mmap threshold to it, so the table-sized arrays of later
+            # calls reuse heap pages instead of faulting in fresh ones
+            # (perfbench `tables`: about 170 minor faults in a pass's table
+            # builds, against 1,600 with a gather over half the grid)
+            n = np.arange(n_total + 1)
+            stage = _roots_of_unity(size)[np.multiply.outer(n, np.arange(size)) % size]
+            stage = stage[:, :size // 2 + 1]
+            np.negative(stage[1::2], out=stage[1::2])
+            basis = np.concatenate([stage.real, stage.imag], axis=1)
+            basis.flags.writeable = False
+        _half_grid_bases[size] = basis
+        if len(_half_grid_bases) > 4:
+            del _half_grid_bases[next(iter(_half_grid_bases))]
+    return basis[:n_total + 1]
 
 
 def _distinct_rows(n_total: int, grid_size: int) -> int:
@@ -306,8 +329,9 @@ def _mirrors_by_half_period(probs: np.ndarray) -> bool:
     """Whether the rows of ``probs`` in reverse order equal its rows rolled
     by half a period, entry for entry: true of every grid table on an even
     grid, whose row N-m is row m shifted by pi (the middle row of an even N
-    too, since only its even-n stage rows, equal at phi and phi + pi, enter
-    it).  On an odd grid phi + pi is not a grid point, so this is False."""
+    too: only its even-n terms, equal at phi and phi + pi, enter it, and
+    the table copies its second half from its first).  On an odd grid
+    phi + pi is not a grid point, so this is False."""
     size = probs.shape[1]
     if size % 2:
         return False
@@ -316,24 +340,24 @@ def _mirrors_by_half_period(probs: np.ndarray) -> bool:
                 and np.array_equal(mirrored[:, half:], probs[:, :half]))
 
 
-def _outcome_amplitudes(coeffs: np.ndarray, stage: np.ndarray,
-                        rows: int = None) -> np.ndarray:
-    """Amplitudes A = (K[:rows] diag(s K p c)) stage of the outcomes
-    m < ``rows`` (all N+1 if None), with N+1 = len(stage).
+def _stage_vector(coeffs: np.ndarray) -> np.ndarray:
+    """The phase-stage vector s K (p c) of the coefficients c."""
+    k, phases, signs = _beam_splitter(coeffs.size - 1)
+    return signs * (k @ (phases * coeffs))
+
+
+def _outcome_amplitudes(coeffs: np.ndarray, stage: np.ndarray) -> np.ndarray:
+    """Amplitudes A = (K diag(s K p c)) stage of all N+1 outcomes, with
+    N+1 = len(stage).
 
     A is W_L (stage * (W_R c)) without the row phases i^(N-m), which change
-    neither |A|^2 nor conj(A) dA/dphi.  No grid-sized array but A exists.
-    A stage E (:func:`_grid_stage`, :func:`_phase_factors`) gives A at its
-    phases, i n E dA/dphi there.  Row N-m, if left out, is
-    (K[m] diag(s b)) stage with b = s K p c, and s_n stage[n] is the stage
-    at phi + pi: A at the mirrored outcome is A at m shifted by pi.
-    Outcomes that vanish identically come out as exact zeros: each of
-    their Fourier coefficients K[m, n] (s K p c)[n] has an exactly zero
-    factor (an integer Krawtchouk zero, or equal-magnitude terms of
-    opposite sign).
+    neither |A|^2 nor conj(A) dA/dphi.  A stage E (:func:`_phase_factors`)
+    gives A at its phases, i n E dA/dphi there.  Outcomes that vanish
+    identically come out as exact zeros: each of their Fourier coefficients
+    K[m, n] (s K p c)[n] has an exactly zero factor (an integer Krawtchouk
+    zero, or equal-magnitude terms of opposite sign).
     """
-    k, phases, signs = _beam_splitter(stage.shape[0] - 1)
-    return (k[:rows] * (signs * (k @ (phases * coeffs)))) @ stage
+    return (_beam_splitter(stage.shape[0] - 1)[0] * _stage_vector(coeffs)) @ stage
 
 
 def outcome_distribution(state: StateCoefficients, phi: float,
@@ -401,16 +425,38 @@ def likelihood_table(state: StateCoefficients,
     """
     grid = PhaseGrid(grid_size)
     n, size = state.n, grid.size
-    rows = _distinct_rows(n, size)
-    # the stage is freed on return, before the table is allocated
-    amps = _outcome_amplitudes(state.coeffs, _grid_stage(n, grid, geometry), rows)
+    rows, half = _distinct_rows(n, size), size // 2
+    # A_m(phi) = sum_n a_mn e^(i n phi) with a = K diag(s b g), b = K p c and
+    # g_n = e^(i(n kl1 + (N-n) kl2)) the geometry.  With X and Y the products
+    # of [Re a; Im a] with the basis' cos and sin halves, A_m(+-phi_k) = X +- iY
+    vector = _stage_vector(state.coeffs) * _phase_factors(n, np.zeros(1), geometry)[:, 0]
+    re_im = vector.view(np.float64).reshape(-1, 2).T[:, None]
+    parts = (_beam_splitter(n)[0][:rows] * re_im).reshape(2 * rows, n + 1)
+    xy = parts @ _half_grid_basis(n, size)
+    x_re, y_re = xy[:rows, :half + 1], xy[:rows, half + 1:]
+    x_im, y_im = xy[rows:, :half + 1], xy[rows:, half + 1:]
     probs = np.empty((n + 1, size))
-    computed = probs[:rows]
-    _clamp_probs(np.square(np.abs(amps, out=computed), out=computed))
+    # P(m | phi_k) = (Xr - Yi)^2 + (Xi + Yr)^2 goes to column k - 1, or M - 1
+    # for k = 0 (phi = -pi is the grid point pi, and Y = 0 there), and
+    # P(m | -phi_k) = (Xr + Yi)^2 + (Xi - Yr)^2 to column M - k - 1, 0 < k < M/2
+    ahead, behind = probs[:rows, :half], probs[:rows, half:-1][:, ::-1]
+    back = slice(1, behind.shape[1] + 1)
+    probs[:rows, -1] = np.square(x_re[:, 0]) + np.square(x_im[:, 0])
+    np.square(np.subtract(x_re[:, 1:], y_im[:, 1:], out=ahead), out=ahead)
+    np.square(np.add(x_re[:, back], y_im[:, back], out=behind), out=behind)
+    # the second squares go where the first terms' parts were
+    np.square(np.add(x_im, y_re, out=x_re), out=x_re)
+    np.square(np.subtract(x_im, y_re, out=y_im), out=y_im)
+    ahead += x_re[:, 1:]
+    behind += y_im[:, back]
+    _clamp_probs(probs[:rows])
     left_out = n + 1 - rows
     if left_out:
+        if n % 2 == 0:
+            # the middle row has period pi; its halves come from different
+            # products, so one is copied to keep the mirror exact
+            probs[n // 2, half:] = probs[n // 2, :half]
         # rows N, N-1, .. are rows 0, 1, .. rolled by M/2 points
-        half = size // 2
         mirrored, sources = probs[:rows - 1:-1], probs[:left_out]
         mirrored[:, :half] = sources[:, half:]
         mirrored[:, half:] = sources[:, :half]

@@ -19,9 +19,9 @@ from mzfidelity import (DEFAULT_GEOMETRY, InterferometerGeometry, OptimizerConfi
                         noon_outcome_prob, noon_state, outcome_distribution, optics,
                         repeated_mutual_information, simulate_sequence)
 from mzfidelity.cli import MAX_PHOTONS
-from mzfidelity.optics import (_beam_splitter, _grid_stage, _mirrors_by_half_period,
-                               _outcome_amplitudes, _phase_factors, _roots_of_unity,
-                               _sqrt_ratio)
+from mzfidelity.optics import (_beam_splitter, _half_grid_basis, _half_grid_bases,
+                               _mirrors_by_half_period, _outcome_amplitudes, _phase_factors,
+                               _roots_of_unity, _sqrt_ratio)
 from oracle import (build_scattering_matrix, partition_weight, transition_amplitude,
                     trapezoid)
 
@@ -330,23 +330,70 @@ def test_cancelling_outcomes_are_exact_zeros(n, n_c, geometry):
 @pytest.mark.parametrize("geometry", [DEFAULT_GEOMETRY,
                                       InterferometerGeometry(0.3, -1.1)])
 @pytest.mark.parametrize("n", [0, 1, 40, 200])
-@pytest.mark.parametrize("grid_size", [2, 7, 257, 1024, 8192])
+@pytest.mark.parametrize("grid_size", [2, 3, 7, 257, 1024, 8192])
 def test_grid_stage_matches_phase_factors(n, grid_size, geometry):
-    # the stage from roots of unity against one exp per cell; the exps'
-    # own angles n (phi + kl1) carry a rounding error that grows with n
-    grid = PhaseGrid(grid_size)
-    stage = _grid_stage(n, grid, geometry)
-    np.testing.assert_allclose(stage, _phase_factors(n, grid.points, geometry),
+    # a table's stage at phi_k, k = 0..M/2, is the half-grid basis
+    # [cos n phi_k | sin n phi_k] times the geometry's phases at phi = 0
+    basis = _half_grid_basis(n, grid_size)
+    half = grid_size // 2 + 1
+    assert basis.shape == (n + 1, 2 * half)
+    # against one exp per cell; the exps' own angles n (phi + kl1) carry a
+    # rounding error that grows with n
+    phis = -np.pi + 2 * np.pi * np.arange(half) / grid_size
+    stage = (basis[:, :half] + 1j * basis[:, half:]) * _phase_factors(n, np.zeros(1), geometry)
+    np.testing.assert_allclose(stage, _phase_factors(n, phis, geometry),
                                atol=4e-15 * (n + 1), rtol=0)
-    # bit for bit against the gather of w^(n k mod M), k = 1..M, from the
-    # same roots times the same -pi column
+    # bit for bit against Re and Im of the gather (-1)^n w^(n k mod M)
     roots = np.exp((2j * np.pi / grid_size) * np.arange(grid_size))
-    powers = np.outer(np.arange(n + 1), np.arange(1, grid_size + 1)) % grid_size
-    reference = roots[powers] * _phase_factors(n, np.array([-np.pi]), geometry)
-    assert stage.tobytes() == reference.tobytes()
-    # the cached roots are shared between calls
+    powers = np.outer(np.arange(n + 1), np.arange(half)) % grid_size
+    gathered = np.where((np.arange(n + 1) % 2 == 1)[:, None], -roots[powers], roots[powers])
+    assert basis[:, :half].tobytes() == gathered.real.tobytes()
+    assert basis[:, half:].tobytes() == gathered.imag.tobytes()
+    # the sine at phi = -pi is an exact 0
+    assert not basis[:, half].any()
+    # the basis and the roots are shared between calls
+    with pytest.raises(ValueError):
+        basis[0, 0] = 0.0
     with pytest.raises(ValueError):
         _roots_of_unity(grid_size)[0] = 0.0
+
+
+def test_half_grid_basis_cache_keeps_four_sizes_at_their_most_photons():
+    _half_grid_bases.clear()
+    first = _half_grid_basis(3, 16)
+    # rows 0..N of a larger basis are the basis of N, bit for bit
+    larger = _half_grid_basis(9, 16)
+    assert larger[:4].tobytes() == first.tobytes()
+    assert _half_grid_basis(5, 16).base is larger.base
+    for size in (17, 18, 19, 20):
+        _half_grid_basis(2, size)
+    assert sorted(_half_grid_bases) == [17, 18, 19, 20]
+    # the most recently used size is kept
+    _half_grid_basis(1, 17)
+    _half_grid_basis(1, 21)
+    assert sorted(_half_grid_bases) == [17, 19, 20, 21]
+    assert len(_half_grid_basis(9, 16)) == 10 and 16 in _half_grid_bases
+
+
+def test_fidelity_sweep_builds_each_grid_basis_once(monkeypatch):
+    # every basis build gathers from the roots once; the tables of a sweep
+    # take their rows from the basis the sweep asked for at its largest N
+    built = []
+    roots_of_unity = optics._roots_of_unity
+
+    def spy(size):
+        built.append(size)
+        return roots_of_unity(size)
+
+    monkeypatch.setattr(optics, "_roots_of_unity", spy)
+    _half_grid_bases.clear()
+    for grid_size in (64, 63):
+        reports = fidelity_sweep("fock", 12, grid_size=grid_size)
+        assert [r.n_photons for r in reports] == list(range(1, 13))
+        fidelity_sweep("noon", 7, grid_size=grid_size)
+    assert built == [64, 63]
+    fidelity_sweep("noon", 13, grid_size=64)
+    assert built == [64, 63, 64]
 
 
 def _direct_entries(n, n_out, n_in):
@@ -479,23 +526,37 @@ def test_table_columns_sum_to_one():
         np.testing.assert_allclose(table.probs.sum(axis=0), 1.0, atol=1e-12)
 
 
+def _grid_reference(n, grid_size, geometry):
+    # the stage on the grid from one exp per cell, its angle n phi_k =
+    # pi n (2k - M) / M reduced exactly to [0, 2 pi)
+    turns = np.outer(np.arange(n + 1), 2 * np.arange(1, grid_size + 1) - grid_size)
+    return (np.exp((1j * np.pi / grid_size) * (turns % (2 * grid_size)))
+            * _phase_factors(n, np.zeros(1), geometry))
+
+
 @pytest.mark.parametrize("n", [40, MAX_PHOTONS])
 def test_table_memory_is_about_one_and_a_half_grid_arrays(n):
-    # the complex (N+1) x grid stage and the amplitudes of the N/2 + 1 rows
-    # it computes on an even grid are alive at once, and then those
-    # amplitudes and the real table: the -pi column is multiplied into the
-    # stage in place, and the mirrored rows are copied, not computed
+    # a unit is one complex (N+1) x grid array.  Warm, the cos and sin
+    # products of the N/2 + 1 rows computed on an even grid (half a unit)
+    # and the real table (half a unit) are alive at once; the squares are
+    # taken in place and the mirrored rows are copied, not computed.  Cold,
+    # the half-grid basis (half a unit) is built and kept too, from a
+    # gather of the roots (half a unit) freed before the table
     grid_size = 8192
     state = _random_state(np.random.default_rng(41), n)
+    unit = (n + 1) * grid_size * 16
     likelihood_table(state, grid_size=2)  # builds K
-    _roots_of_unity.cache_clear()  # the first call at a grid size builds its roots
-    tracemalloc.start()
-    try:
-        likelihood_table(state, grid_size=grid_size)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.75 * (n + 1) * grid_size * 16
+    # the first call at a grid size builds its roots and its basis
+    _roots_of_unity.cache_clear()
+    _half_grid_bases.clear()
+    for bound in (1.75, 1.25):
+        tracemalloc.start()
+        try:
+            likelihood_table(state, grid_size=grid_size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * unit
 
 
 @pytest.mark.parametrize("geometry", [DEFAULT_GEOMETRY,
@@ -503,14 +564,17 @@ def test_table_memory_is_about_one_and_a_half_grid_arrays(n):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 40, MAX_PHOTONS])
 def test_table_rows_mirror_by_half_a_period(n, geometry):
     # swapping the output ports is a phase shift of pi: on an even grid the
-    # table copies row N-m from row m rolled by M/2 points.  On every grid it
-    # agrees with the all-rows product to roundoff, and keeps its zeros
+    # table copies row N-m from row m rolled by M/2 points, and the middle
+    # row of an even N has period pi.  On every grid it agrees with an
+    # independent stage to roundoff, and the outcomes that vanish
+    # identically (at all 1024 > 2N + 1 points) are exact zeros
     rng = np.random.default_rng(n)
     states = [_random_state(rng, n)] + ([noon_state(n)] if n else [])
+    vanishing = [~_outcome_amplitudes(state.coeffs, _grid_reference(n, 1024, geometry)).any(axis=1)
+                 for state in states]
     for grid_size in (2, 3, 7, 8, 257, 1000, 8192):
-        grid = PhaseGrid(grid_size)
-        stage = _grid_stage(n, grid, geometry)
-        for state in states:
+        stage = _grid_reference(n, grid_size, geometry)
+        for state, zeros in zip(states, vanishing):
             probs = likelihood_table(state, geometry, grid_size).probs
             assert _mirrors_by_half_period(probs) == (grid_size % 2 == 0)
             if grid_size % 2 == 0:
@@ -518,8 +582,8 @@ def test_table_rows_mirror_by_half_a_period(n, geometry):
                     assert (probs[n - m].tobytes()
                             == np.roll(probs[m], grid_size // 2).tobytes())
             full = np.abs(_outcome_amplitudes(state.coeffs, stage)) ** 2
-            np.testing.assert_allclose(probs, full, atol=1e-14, rtol=0)
-            assert not probs[~full.any(axis=1)].any()
+            np.testing.assert_allclose(probs, full, atol=2e-15, rtol=0)
+            assert not probs[zeros].any()
 
 
 def test_table_grid_size_validation():
