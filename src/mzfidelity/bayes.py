@@ -15,7 +15,7 @@ from .exceptions import UndefinedCircularMeanError, ZeroProbabilityOutcomeError
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid, _integer
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, LikelihoodTable,
                      Outcome, StateCoefficients, likelihood_table,
-                     outcome_distribution, _check_scalar_phase, _roots_of_unity, _LOG_ZERO)
+                     outcome_distribution, _roots_of_unity, _LOG_ZERO)
 
 # relative height below which a strict local maximum is discarded as
 # quadrature ripple; genuine secondary modes in scope sit above 1e-4
@@ -175,7 +175,6 @@ def simulate_sequence(state: StateCoefficients,
     shots = _integer(shots, "shots", minimum=1)
     seed = _integer(seed, "seed", minimum=0)
     grid = PhaseGrid(grid_size)
-    true_phase = _check_scalar_phase(true_phase)
 
     pmf = outcome_distribution(state, true_phase, geometry)
     rng = np.random.default_rng(seed)

@@ -23,8 +23,8 @@ from .exceptions import ResourceLimitError, StationaryPointError
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid, _integer
 from .optics import (DEFAULT_GEOMETRY, PROB_FLOOR, STATE_FAMILIES, InterferometerGeometry,
                      LikelihoodTable, StateCoefficients, likelihood_table, _check_columns,
-                     _check_scalar_phase, _clamp_probs, _half_grid_basis, _log_probs,
-                     _mirrors_by_half_period, _outcome_amplitudes, _phase_factors, _LOG_ZERO)
+                     _clamp_probs, _half_grid_basis, _log_probs, _mirrors_by_half_period,
+                     _phase_amplitudes, _LOG_ZERO)
 
 TWO_PI = 2.0 * math.pi
 LOG2_E = 1.0 / math.log(2.0)
@@ -352,23 +352,20 @@ def error_propagation_sensitivity(state: StateCoefficients,
     delta_phi = delta_m / |d mean(m) / d phi| for the count m = n_c (n_d =
     N - n_c and n_c - n_d are affine in it and give the same delta_phi),
     with its mean, its variance and the mean's exact slope (no difference
-    step) from one engine call on the phase stages E and i n E, which give
-    the amplitudes A_m and dA_m/dphi, with dP_m/dphi = 2 Re(conj(A_m)
-    dA_m/dphi).  A vanishing slope (|slope| < 1e-12) means the estimate is
-    undefined and raises :class:`StationaryPointError`.
+    step) from the amplitudes A_m and their slopes dA_m/dphi
+    (:func:`~mzfidelity.optics._phase_amplitudes`), with dP_m/dphi =
+    2 Re(conj(A_m) dA_m/dphi).  A vanishing slope (|slope| < 1e-12) means the
+    estimate is undefined and raises :class:`StationaryPointError`.
     """
-    working_point = _check_scalar_phase(working_point)
+    amps, slopes = _phase_amplitudes(state.coeffs, working_point, geometry, order=1).T
     values = np.arange(state.n + 1, dtype=np.float64)
-    stage = _phase_factors(state.n, np.array([working_point]), geometry)
-    stage = np.hstack([stage, 1j * np.arange(state.n + 1)[:, None] * stage])
-    amps, slopes = _outcome_amplitudes(state.coeffs, stage).T
     pmf = _clamp_probs(np.abs(amps) ** 2)
     mean = float(values @ pmf)
     variance = float((values ** 2) @ pmf) - mean ** 2
     slope = float(values @ (2.0 * (amps.conj() * slopes).real))
     if abs(slope) < SLOPE_TOL:
         raise StationaryPointError(
-            f"mean observable is stationary at phi={working_point!r}; "
+            f"mean observable is stationary at phi={float(working_point)!r}; "
             "error propagation does not apply")
     delta_m = math.sqrt(max(variance, 0.0))
     return SensitivityEstimate(delta_phi=delta_m / abs(slope), delta_m=delta_m, slope=slope)

@@ -14,26 +14,26 @@ Campos, Saleh & Teich, PRA 40, 1371 (1989)):
     S(phi) = L diag(e^{i(phi+kl1)}, e^{i kl2}) R,
     L = [[1, 1], [-i, i]]/sqrt(2),  R = [[1, -i], [-1, -i]]/sqrt(2).
 
-Photon-number representations multiply like the 2x2 matrices, so the
-outcome amplitudes of a coefficient vector c on a phase grid are
-W_L (E * (W_R c)), with E the diagonal stage's phase factors (i n E gives
-the exact dA/dphi).  Both splitter matrices are one real symmetric
-involution K between exact phases, W_L = diag(i^(N-m)) K diag((-1)^n) and
-W_R = K diag(i^(3n-N)), so K is built once per photon number
-(:func:`_beam_splitter`) and the row phases i^(N-m), which no probability
-sees, are never applied.
+Photon-number representations multiply like the 2x2 matrices.  Both
+splitter matrices are one real symmetric involution K between exact phases,
+W_L = diag(i^(N-m)) K diag(s) and W_R = K diag(p), s = (-1)^n, p = i^(3n-N),
+built once per photon number (:func:`_beam_splitter`).  The stage multiplies
+term n by e^(i N kl2) e^(i n (phi + kl1 - kl2)); its global phase and the
+row phases i^(N-m) change no probability and are never applied, so the
+geometry is one phase offset (:attr:`InterferometerGeometry.offset`) and
 
-On the uniform grid phi_k = -pi + 2 pi k / M a table needs no stage E.  Row
-m of A is sum_n a_mn e^(i n phi), with a = K diag(s K p c) times the
-geometry's phases, so with X and Y the products of [Re a; Im a] with
-cos n phi_k and sin n phi_k, A_m(+-phi_k) = X +- iY: one real product with
-a cached basis over half the grid (:func:`_half_grid_basis`, from M roots
-of unity and independent of the geometry) gives every column.
+    A_m(phi) = sum_n K[m, n] v_n e^(i n phi),  v = s K (p c) e^(i n offset)
+
+(:func:`_stage_vector`), evaluated with its slope at a single phase by
+:func:`_phase_amplitudes`.  On the grid phi_k = -pi + 2 pi k / M, with X and
+Y the products of [Re K diag(v); Im K diag(v)] with cos n phi_k and
+sin n phi_k, A_m(+-phi_k) = X +- iY: one real product with a cached basis
+over half the grid (:func:`_half_grid_basis`) gives every column of a table.
 
 Swapping the output ports is a phase shift of pi: K[N-m] = s K[m] and
-s_n E[n](phi) = E[n](phi + pi), so P(N-m | phi) = P(m | phi + pi) for every
-input state and geometry.  On a grid of even size M, phi_k + pi is the grid
-point k + M/2, so only the rows m <= N/2 are computed
+s_n e^(i n phi) = e^(i n (phi + pi)), so P(N-m | phi) = P(m | phi + pi) for
+every input state and geometry.  On a grid of even size M, phi_k + pi is the
+grid point k + M/2, so only the rows m <= N/2 are computed
 (:func:`_distinct_rows`) and row N-m is row m rolled by half a period.  When
 a table's rows mirror that way (:func:`_mirrors_by_half_period`), its
 information sums the rows m <= N/2 only, and in the compound information a
@@ -74,6 +74,13 @@ class InterferometerGeometry:
             if not math.isfinite(value):
                 raise ValueError(f"geometry phase {name} must be finite, got {value}")
             object.__setattr__(self, name, value)
+
+    @property
+    def offset(self) -> float:
+        """kl1 - kl2, the one phase the geometry adds to phi, with each arm's
+        phase reduced by whole turns into [-pi, pi] (``math.remainder``:
+        exact, and the phase itself there), so n times it stays finite."""
+        return math.remainder(self.kl1, math.tau) - math.remainder(self.kl2, math.tau)
 
 
 DEFAULT_GEOMETRY = InterferometerGeometry()
@@ -145,13 +152,6 @@ STATE_FAMILIES = {"fock": fock_state, "noon": noon_state}
 def _check_phase(phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=np.float64)
     if not np.all(np.isfinite(phi)):
-        raise ValueError("phase values must be finite")
-    return phi
-
-
-def _check_scalar_phase(phi) -> float:
-    """One phase as a float, checked as :func:`_check_phase` checks arrays."""
-    if not math.isfinite(phi := float(phi)):
         raise ValueError("phase values must be finite")
     return phi
 
@@ -265,15 +265,6 @@ def _beam_splitter(n_total: int):
     return k, phases, signs
 
 
-def _phase_factors(n_total: int, phi: np.ndarray,
-                   geometry: InterferometerGeometry) -> np.ndarray:
-    """Diagonal stage E[n, k] = exp(i (n (phi_k + kl1) + (N - n) kl2))."""
-    n = np.arange(n_total + 1)
-    angles = (np.multiply.outer(n, phi + geometry.kl1)
-              + ((n_total - n) * geometry.kl2)[:, None])
-    return np.exp(1j * angles)
-
-
 @lru_cache(maxsize=4)
 def _roots_of_unity(size: int) -> np.ndarray:
     """w^j = e^(2 pi i j / size) for j = 0..size-1, shared, hence read-only."""
@@ -340,34 +331,39 @@ def _mirrors_by_half_period(probs: np.ndarray) -> bool:
                 and np.array_equal(mirrored[:, half:], probs[:, :half]))
 
 
-def _stage_vector(coeffs: np.ndarray) -> np.ndarray:
-    """The phase-stage vector s K (p c) of the coefficients c."""
+def _stage_vector(coeffs: np.ndarray, geometry: InterferometerGeometry) -> np.ndarray:
+    """The phase-stage vector v = s K (p c) e^(i n offset) of the coefficients
+    c under ``geometry``: A_m(phi) = sum_n K[m, n] v_n e^(i n phi)."""
     k, phases, signs = _beam_splitter(coeffs.size - 1)
-    return signs * (k @ (phases * coeffs))
+    return signs * (k @ (phases * coeffs)) * np.exp(1j * geometry.offset * np.arange(coeffs.size))
 
 
-def _outcome_amplitudes(coeffs: np.ndarray, stage: np.ndarray) -> np.ndarray:
-    """Amplitudes A = (K diag(s K p c)) stage of all N+1 outcomes, with
-    N+1 = len(stage).
+def _phase_amplitudes(coeffs: np.ndarray, phi: float, geometry: InterferometerGeometry,
+                      order: int = 0) -> np.ndarray:
+    """Column j = 0..``order`` holds d^j A_m/dphi^j = sum_n K[m, n] v_n (i n)^j
+    e^(i n phi) of all N+1 outcomes at one phase: the amplitudes and, for
+    ``order`` 1, their exact slopes.  The product has no more columns, as
+    BLAS sums one column and two in different orders.
 
-    A is W_L (stage * (W_R c)) without the row phases i^(N-m), which change
-    neither |A|^2 nor conj(A) dA/dphi.  A stage E (:func:`_phase_factors`)
-    gives A at its phases, i n E dA/dphi there.  Outcomes that vanish
-    identically come out as exact zeros: each of their Fourier coefficients
-    K[m, n] (s K p c)[n] has an exactly zero factor (an integer Krawtchouk
-    zero, or equal-magnitude terms of opposite sign).
+    ValueError unless phi is finite; it is reduced by whole turns into
+    [-pi, pi] (``math.remainder``: exact, and phi itself there), so n phi
+    cannot overflow.  Outcomes that vanish identically come out as exact
+    zeros: each of their terms K[m, n] v_n has an exactly zero factor (an
+    integer Krawtchouk zero, or equal-magnitude terms of opposite sign).
     """
-    return (_beam_splitter(stage.shape[0] - 1)[0] * _stage_vector(coeffs)) @ stage
+    if not math.isfinite(phi := float(phi)):
+        raise ValueError("phase values must be finite")
+    n = np.arange(coeffs.size)
+    stage = np.exp(1j * (n * math.remainder(phi, math.tau)))[:, None]
+    stage = stage * (1j * n[:, None]) ** np.arange(order + 1)
+    return (_beam_splitter(coeffs.size - 1)[0] * _stage_vector(coeffs, geometry)) @ stage
 
 
 def outcome_distribution(state: StateCoefficients, phi: float,
                          geometry: InterferometerGeometry = DEFAULT_GEOMETRY
                          ) -> np.ndarray:
     """Probabilities of all N+1 outcomes at one phase, ordered by n_c."""
-    phi = _check_scalar_phase(phi)
-    amps = _outcome_amplitudes(state.coeffs,
-                               _phase_factors(state.n, np.array([phi]), geometry))
-    return _clamp_probs(np.abs(amps[:, 0]) ** 2)
+    return _clamp_probs(np.abs(_phase_amplitudes(state.coeffs, phi, geometry)[:, 0]) ** 2)
 
 
 def _check_columns(column_sums: np.ndarray) -> None:
@@ -426,10 +422,10 @@ def likelihood_table(state: StateCoefficients,
     grid = PhaseGrid(grid_size)
     n, size = state.n, grid.size
     rows, half = _distinct_rows(n, size), size // 2
-    # A_m(phi) = sum_n a_mn e^(i n phi) with a = K diag(s b g), b = K p c and
-    # g_n = e^(i(n kl1 + (N-n) kl2)) the geometry.  With X and Y the products
-    # of [Re a; Im a] with the basis' cos and sin halves, A_m(+-phi_k) = X +- iY
-    vector = _stage_vector(state.coeffs) * _phase_factors(n, np.zeros(1), geometry)[:, 0]
+    # A_m(phi) = sum_n a_mn e^(i n phi) with a = K diag(v), v the stage vector.
+    # With X and Y the products of [Re a; Im a] with the basis' cos and sin
+    # halves, A_m(+-phi_k) = X +- iY
+    vector = _stage_vector(state.coeffs, geometry)
     re_im = vector.view(np.float64).reshape(-1, 2).T[:, None]
     parts = (_beam_splitter(n)[0][:rows] * re_im).reshape(2 * rows, n + 1)
     xy = parts @ _half_grid_basis(n, size)

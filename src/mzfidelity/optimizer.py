@@ -1,12 +1,13 @@
 """Search for input states that maximize the interferometer fidelity.
 
 The search runs over the inputs whose phase-stage vector b = s K (p c)
-(:func:`~mzfidelity.optics._outcome_amplitudes`) is real and palindromic,
-b_{N-n} = b_n: the shape of Berry and Wiseman's optimal phase states (PRL
-85, 5098 (2000)), and of every optimum found by searching all inputs.  Its
-unknowns are y = (b_0 .. b_h-1), h = floor(N/2) + 1.  As K[m, N-n] =
-(-1)^m K[m, n], with the weights u_n = 2 (1 for the middle entry n = N/2 of
-an even N), z = y/|b| and |b|^2 = sum_n u_n y_n^2, row m's amplitude is
+(:func:`~mzfidelity.optics._stage_vector` at offset 0) is real and
+palindromic, b_{N-n} = b_n: the shape of Berry and Wiseman's optimal
+phase states (PRL 85, 5098 (2000)), and of every optimum found by searching
+all inputs.  Its unknowns are y = (b_0 .. b_h-1), h = floor(N/2) + 1.  As
+K[m, N-n] = (-1)^m K[m, n], with the weights u_n = 2 (1 for the middle
+entry n = N/2 of an even N), z = y/|b| and |b|^2 = sum_n u_n y_n^2, row m's
+amplitude is
 
     a_m(phi) = sum_{n<h} K[m, n] u_n z_n cos((n - N/2) phi),  sin for odd m,
 
@@ -21,8 +22,8 @@ G = dH/dP = (w/2pi) log2(2pi P / I_m):
 orthogonal to y, along which H is flat.  On an even grid only the rows
 m <= N/2 are computed, with the multiplicity mu_m of
 :func:`~mzfidelity.fidelity._count_mirrors` (1 on an odd grid).  H depends
-on no geometry: E[n] = e^{i N kl2} e^{i n (phi + kl1 - kl2)} only shifts P
-by kl1 - kl2, so the winner is c = conj(p) K (s b e^{-i n (kl1 - kl2)})
+on no geometry, which only shifts P by its offset (the stage vector's
+factor e^(i n offset)), so the winner is c = conj(p) K (s b e^(-i n offset))
 (:func:`_class_state`), whose table under the geometry is the search's.
 
 Each restart is an L-BFGS search (Liu and Nocedal, Math. Prog. 45, 503
@@ -122,7 +123,7 @@ def _class_state(y: np.ndarray, n_photons: int,
     the palindromic stage vector b with first half ``y``."""
     k, phases, signs = _beam_splitter(n_photons)
     b = np.concatenate([y, y[:n_photons + 1 - y.size][::-1]])
-    offset = np.exp(-1j * (geometry.kl1 - geometry.kl2) * np.arange(n_photons + 1))
+    offset = np.exp(-1j * geometry.offset * np.arange(n_photons + 1))
     return project_normalize(phases.conj() * (k @ (signs * b * offset)))
 
 

@@ -369,6 +369,19 @@ def test_simulate_rejects_non_finite_phase(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--state", "fock", "--n", "3", "--phase", "1e308", "--shots", "20",
+     "--grid", "64"],
+    ["fidelity", "--state", "fock", "--n", "3", "--kl1", "1e308", "--grid", "64"],
+    ["optimize", "--n", "2", "--restarts", "2", "--kl1", "1e308", "--kl2=-1e308"],
+], ids=["simulate-phase", "fidelity-kl1", "optimize-kl1-kl2"])
+def test_huge_finite_phases_run(argv, capsys):
+    # n phi would overflow at these phases; they are reduced by whole turns
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert "nan" not in out.lower()
+
+
 def test_shot_cap_rejects_before_drawing(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "MAX_SHOTS", 10)
     argv = ["simulate", "--state", "fock", "--n", "1", "--phase", "0.5",

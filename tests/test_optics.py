@@ -20,8 +20,8 @@ from mzfidelity import (DEFAULT_GEOMETRY, InterferometerGeometry, OptimizerConfi
                         repeated_mutual_information, simulate_sequence)
 from mzfidelity.cli import MAX_PHOTONS
 from mzfidelity.optics import (_beam_splitter, _half_grid_basis, _half_grid_bases,
-                               _mirrors_by_half_period, _outcome_amplitudes, _phase_factors,
-                               _roots_of_unity, _sqrt_ratio)
+                               _mirrors_by_half_period, _phase_amplitudes, _roots_of_unity,
+                               _sqrt_ratio, _stage_vector)
 from oracle import (build_scattering_matrix, partition_weight, transition_amplitude,
                     trapezoid)
 
@@ -40,10 +40,13 @@ def _row_phases(n):
     return np.array(I_POWERS)[(n - np.arange(n + 1)) % 4][:, None]
 
 
-def _amplitudes(coeffs, phis, geometry):
-    # the device's amplitudes W_L (E * (W_R c))
+def _amplitudes(coeffs, phis, geometry, order=0):
+    # the device's amplitudes W_L (E * (W_R c)), or with order 1 their slopes,
+    # one engine call per phase, with the phases the engine leaves out of A:
+    # the row phases and the geometry's global phase e^(i N kl2)
     n = coeffs.size - 1
-    return _row_phases(n) * _outcome_amplitudes(coeffs, _phase_factors(n, phis, geometry))
+    columns = [_phase_amplitudes(coeffs, phi, geometry, order)[:, order] for phi in phis]
+    return _row_phases(n) * np.exp(1j * n * geometry.kl2) * np.stack(columns, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +144,42 @@ def test_single_phase_paths_reject_non_finite_phase(phi):
                  lambda: simulate_sequence(fock_state(2), true_phase=phi)):
         with pytest.raises(ValueError, match="phase values must be finite"):
             call()
+
+
+@pytest.mark.parametrize("phi", [1e308, -1e308])
+def test_single_phase_paths_reduce_huge_finite_phases(phi):
+    # n phi overflows at such a phase; the engine first reduces phi by whole
+    # turns, exactly, so each result is the one at the reduced phase
+    reduced = math.remainder(phi, 2 * math.pi)
+    state = fock_state(3)
+    probs = outcome_distribution(state, phi)
+    assert np.all(np.isfinite(probs)) and probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert probs.tobytes() == outcome_distribution(state, reduced).tobytes()
+    estimate = error_propagation_sensitivity(state, working_point=phi)
+    assert all(map(math.isfinite, vars(estimate).values()))
+    assert vars(estimate) == vars(error_propagation_sensitivity(state, working_point=reduced))
+    drawn, expected = (simulate_sequence(state, true_phase=phase, shots=50, grid_size=64)
+                       for phase in (phi, reduced))
+    assert drawn.record.outcomes == expected.record.outcomes
+    assert (drawn.final_posterior.density.tobytes()
+            == expected.final_posterior.density.tobytes())
+
+
+def test_huge_geometry_phases_reduce_to_one_offset():
+    # each arm's phase is reduced by whole turns, exactly, before the offset
+    # kl1 - kl2 is formed, so a table under huge arm phases is finite and
+    # equals the table under the reduced ones; on [-pi, pi] nothing changes
+    tau = 2 * math.pi
+    huge = InterferometerGeometry(1e308, -1e308)
+    reduced = InterferometerGeometry(math.remainder(1e308, tau), math.remainder(-1e308, tau))
+    rng = np.random.default_rng(1)
+    for state in (fock_state(3), noon_state(3), _random_state(rng, 10)):
+        probs = likelihood_table(state, huge, 64).probs
+        assert np.all(np.isfinite(probs))
+        np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-12, rtol=0)
+        assert probs.tobytes() == likelihood_table(state, reduced, 64).probs.tobytes()
+    assert InterferometerGeometry(0.3, -1.1).offset == 0.3 - -1.1
+    assert InterferometerGeometry(math.pi, -math.pi).offset == tau
 
 
 def test_unitarity_random_phases_and_geometries():
@@ -296,15 +335,13 @@ def test_engine_matches_partition_sum(n):
 
 @pytest.mark.parametrize("n", [1, 4, 9, 40])
 def test_derivative_stage_matches_central_difference(n):
-    # the stage i n E gives dA/dphi (the error-propagation slope uses it)
+    # the stage (i n) e^(i n phi) gives dA/dphi (the error-propagation slope uses it)
     rng = np.random.default_rng(n)
     geometry = InterferometerGeometry(0.3, -1.1)
     coeffs = _random_state(rng, n).coeffs
     phis = rng.uniform(-np.pi, np.pi, size=4)
     step = 1e-5
-    stage = _phase_factors(n, phis, geometry)
-    exact = _row_phases(n) * _outcome_amplitudes(coeffs,
-                                                 1j * np.arange(n + 1)[:, None] * stage)
+    exact = _amplitudes(coeffs, phis, geometry, order=1)
     central = (_amplitudes(coeffs, phis + step, geometry)
                - _amplitudes(coeffs, phis - step, geometry)) / (2 * step)
     # truncation error h^2 |d^3A/dphi^3| / 6, and |d^3A/dphi^3| <~ N^3 here
@@ -333,15 +370,17 @@ def test_cancelling_outcomes_are_exact_zeros(n, n_c, geometry):
 @pytest.mark.parametrize("grid_size", [2, 3, 7, 257, 1024, 8192])
 def test_grid_stage_matches_phase_factors(n, grid_size, geometry):
     # a table's stage at phi_k, k = 0..M/2, is the half-grid basis
-    # [cos n phi_k | sin n phi_k] times the geometry's phases at phi = 0
+    # [cos n phi_k | sin n phi_k] times the stage vector's e^(i n offset)
     basis = _half_grid_basis(n, grid_size)
     half = grid_size // 2 + 1
     assert basis.shape == (n + 1, 2 * half)
-    # against one exp per cell; the exps' own angles n (phi + kl1) carry a
+    # against one exp per cell; the exps' own angles n (phi + offset) carry a
     # rounding error that grows with n
     phis = -np.pi + 2 * np.pi * np.arange(half) / grid_size
-    stage = (basis[:, :half] + 1j * basis[:, half:]) * _phase_factors(n, np.zeros(1), geometry)
-    np.testing.assert_allclose(stage, _phase_factors(n, phis, geometry),
+    n_values = np.arange(n + 1)
+    stage = ((basis[:, :half] + 1j * basis[:, half:])
+             * np.exp(1j * geometry.offset * n_values)[:, None])
+    np.testing.assert_allclose(stage, np.exp(1j * np.outer(n_values, phis + geometry.offset)),
                                atol=4e-15 * (n + 1), rtol=0)
     # bit for bit against Re and Im of the gather (-1)^n w^(n k mod M)
     roots = np.exp((2j * np.pi / grid_size) * np.arange(grid_size))
@@ -526,12 +565,13 @@ def test_table_columns_sum_to_one():
         np.testing.assert_allclose(table.probs.sum(axis=0), 1.0, atol=1e-12)
 
 
-def _grid_reference(n, grid_size, geometry):
-    # the stage on the grid from one exp per cell, its angle n phi_k =
-    # pi n (2k - M) / M reduced exactly to [0, 2 pi)
+def _grid_reference(coeffs, grid_size, geometry):
+    # the amplitudes on the grid from a stage of one exp per cell, its angle
+    # n phi_k = pi n (2k - M) / M reduced exactly to [0, 2 pi)
+    n = coeffs.size - 1
     turns = np.outer(np.arange(n + 1), 2 * np.arange(1, grid_size + 1) - grid_size)
-    return (np.exp((1j * np.pi / grid_size) * (turns % (2 * grid_size)))
-            * _phase_factors(n, np.zeros(1), geometry))
+    stage = np.exp((1j * np.pi / grid_size) * (turns % (2 * grid_size)))
+    return (_beam_splitter(n)[0] * _stage_vector(coeffs, geometry)) @ stage
 
 
 @pytest.mark.parametrize("n", [40, MAX_PHOTONS])
@@ -570,10 +610,8 @@ def test_table_rows_mirror_by_half_a_period(n, geometry):
     # identically (at all 1024 > 2N + 1 points) are exact zeros
     rng = np.random.default_rng(n)
     states = [_random_state(rng, n)] + ([noon_state(n)] if n else [])
-    vanishing = [~_outcome_amplitudes(state.coeffs, _grid_reference(n, 1024, geometry)).any(axis=1)
-                 for state in states]
+    vanishing = [~_grid_reference(state.coeffs, 1024, geometry).any(axis=1) for state in states]
     for grid_size in (2, 3, 7, 8, 257, 1000, 8192):
-        stage = _grid_reference(n, grid_size, geometry)
         for state, zeros in zip(states, vanishing):
             probs = likelihood_table(state, geometry, grid_size).probs
             assert _mirrors_by_half_period(probs) == (grid_size % 2 == 0)
@@ -581,7 +619,7 @@ def test_table_rows_mirror_by_half_a_period(n, geometry):
                 for m in range(n + 1):
                     assert (probs[n - m].tobytes()
                             == np.roll(probs[m], grid_size // 2).tobytes())
-            full = np.abs(_outcome_amplitudes(state.coeffs, stage)) ** 2
+            full = np.abs(_grid_reference(state.coeffs, grid_size, geometry)) ** 2
             np.testing.assert_allclose(probs, full, atol=2e-15, rtol=0)
             assert not probs[zeros].any()
 
@@ -635,3 +673,19 @@ def test_geometry_shift_translates_likelihoods():
                                grid_size=grid_size)
     np.testing.assert_allclose(shifted.probs, np.roll(base.probs, -steps, axis=1),
                                atol=1e-12)
+    # and at single phases: a call under the arm phases (a, b) is the call at
+    # phi + a - b without them, for the distribution and the slope alike
+    rng = np.random.default_rng(33)
+    for n in (1, 10, 40):
+        for _ in range(10):
+            state = _random_state(rng, n)
+            kl1, kl2 = rng.uniform(-10.0, 10.0, size=2)
+            phi = rng.uniform(-np.pi, np.pi)
+            geometry = InterferometerGeometry(kl1, kl2)
+            np.testing.assert_allclose(outcome_distribution(state, phi, geometry),
+                                       outcome_distribution(state, phi + kl1 - kl2),
+                                       atol=1e-14, rtol=0)
+            slope = error_propagation_sensitivity(state, geometry, phi).slope
+            assert slope == pytest.approx(
+                error_propagation_sensitivity(state, working_point=phi + kl1 - kl2).slope,
+                abs=1e-15 * (n + 1) ** 2, rel=0)
