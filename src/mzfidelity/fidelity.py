@@ -89,11 +89,10 @@ def _information_terms(probs: np.ndarray, weight: float):
     return rows, log_ratio
 
 
-def _count_mirrors(outcomes: int, *arrays: np.ndarray) -> None:
-    """Count, in place, rows m < N/2 twice in arrays of the rows m <= N/2 of a
-    table of ``outcomes`` rows whose row N-m mirrors m; the middle row once."""
-    for array in arrays:
-        array[:outcomes - len(array)] *= 2.0
+def _mirror_weights(kept: int, total: int) -> np.ndarray:
+    """Weights of the first ``kept`` of ``total`` entries, entry n mirroring
+    entry total-1-n: 2 where the mirror is left out, else 1."""
+    return np.where(np.arange(kept) < total - kept, 2.0, 1.0)
 
 
 def mutual_information(table: LikelihoodTable) -> FidelityReport:
@@ -105,7 +104,7 @@ def mutual_information(table: LikelihoodTable) -> FidelityReport:
     """
     rows = (table.outcome_count + 1) // 2 if _mirrors_by_half_period(table.probs) else None
     terms = _information_terms(table.probs[:rows], table.grid.weight)[0]
-    _count_mirrors(table.outcome_count, terms)
+    terms *= _mirror_weights(len(terms), table.outcome_count)
     h = max(math.fsum(terms), 0.0)  # tiny negative round-off on flat tables
     return FidelityReport(h_bits=h, n_photons=table.n_total,
                           grid_size=table.grid.size, outcome_count=table.outcome_count)
@@ -153,11 +152,8 @@ def _mirror_pairs(counts: np.ndarray):
     their reverse, and the multiplicity of each: 2 for a vector that
     stands for itself and its reverse, 1 for a palindrome."""
     # sign of v - reverse(v) at the first place they differ, 0 if nowhere
-    order = np.zeros(len(counts), dtype=np.int64)
-    bins = counts.shape[1]
-    for j in range(bins // 2):
-        np.copyto(order, np.sign(counts[:, j] - counts[:, bins - 1 - j]),
-                  where=order == 0)
+    diff = counts - counts[:, ::-1]
+    order = np.sign(diff[np.arange(len(diff)), np.argmax(diff != 0, axis=1)])
     keep = order <= 0
     return counts[keep], np.where(order[keep] < 0, 2.0, 1.0)
 
@@ -354,16 +350,17 @@ def error_propagation_sensitivity(state: StateCoefficients,
     with its mean, its variance and the mean's exact slope (no difference
     step) from the amplitudes A_m and their slopes dA_m/dphi
     (:func:`~mzfidelity.optics._phase_amplitudes`), with dP_m/dphi =
-    2 Re(conj(A_m) dA_m/dphi).  A vanishing slope (|slope| < 1e-12) means the
-    estimate is undefined and raises :class:`StationaryPointError`.
+    2 Re(conj(A_m) dA_m/dphi).  A slope within roundoff of 0, |slope| < ``SLOPE_TOL``
+    max(1, sum_m m |dP_m/dphi|), leaves it undefined: :class:`StationaryPointError`.
     """
     amps, slopes = _phase_amplitudes(state.coeffs, working_point, geometry, order=1).T
     values = np.arange(state.n + 1, dtype=np.float64)
     pmf = _clamp_probs(np.abs(amps) ** 2)
     mean = float(values @ pmf)
     variance = float((values ** 2) @ pmf) - mean ** 2
-    slope = float(values @ (2.0 * (amps.conj() * slopes).real))
-    if abs(slope) < SLOPE_TOL:
+    prob_slopes = 2.0 * (amps.conj() * slopes).real
+    slope = float(values @ prob_slopes)
+    if abs(slope) < SLOPE_TOL * max(1.0, float(values @ np.abs(prob_slopes))):
         raise StationaryPointError(
             f"mean observable is stationary at phi={float(working_point)!r}; "
             "error propagation does not apply")

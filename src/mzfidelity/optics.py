@@ -377,7 +377,8 @@ def _check_columns(column_sums: np.ndarray) -> None:
 @dataclass(eq=False)
 class LikelihoodTable:
     """P(m | phi_k) on a phase grid; row m is the outcome (m, N-m).  ValueError when built
-    unless probs is 2-D with one column per grid point, each finite and summing to 1."""
+    unless probs is 2-D with one column per grid point, each finite, summing to 1 and
+    with no negative entry."""
 
     grid: PhaseGrid
     probs: np.ndarray
@@ -388,6 +389,8 @@ class LikelihoodTable:
             raise ValueError(f"a likelihood table on {self.grid} needs 2-D probs "
                              f"with {self.grid.size} columns, got {np.shape(self.probs)}")
         _check_columns(self.probs.sum(axis=0))
+        if self.probs.min() < 0.0:  # after the sums, so a NaN keeps their error
+            raise ValueError(f"likelihoods must not be negative, got {self.probs.min()!r}")
 
     @property
     def outcome_count(self) -> int:

@@ -21,7 +21,7 @@ G = dH/dP = (w/2pi) log2(2pi P / I_m):
 
 orthogonal to y, along which H is flat.  On an even grid only the rows
 m <= N/2 are computed, with the multiplicity mu_m of
-:func:`~mzfidelity.fidelity._count_mirrors` (1 on an odd grid).  H depends
+:func:`~mzfidelity.fidelity._mirror_weights` (1 on an odd grid).  H depends
 on no geometry, which only shifts P by its offset (the stage vector's
 factor e^(i n offset)), so the winner is c = conj(p) K (s b e^(-i n offset))
 (:func:`_class_state`), whose table under the geometry is the search's.
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fidelity import TWO_PI, _count_mirrors, _information_terms, mutual_information
+from .fidelity import TWO_PI, _information_terms, _mirror_weights, mutual_information
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid, _integer
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, StateCoefficients,
                      _beam_splitter, _clamp_probs, _distinct_rows, likelihood_table)
@@ -131,20 +131,18 @@ def _negative_information(n_photons: int, grid: PhaseGrid):
     """The search objective: y -> (-H, -dH/dy) on ``grid``."""
     dim, half, size = n_photons + 1, n_photons // 2 + 1, grid.size
     rows = _distinct_rows(n_photons, size)
-    weights = np.full(half, 2.0)
-    if n_photons % 2 == 0:
-        weights[-1] = 1.0  # the middle entry b_{N/2} is its own mirror
+    weights = _mirror_weights(half, dim)  # the middle entry b_{N/2} is its own mirror
     # (n - N/2) phi_k = (2n - N)(2k - M) pi / 2M, reduced exactly to [0, 2pi)
     turns = np.multiply.outer(2 * np.arange(half) - n_photons,
                               2 * np.arange(1, size + 1) - size) % (4 * size)
     angles = (np.pi / (2 * size)) * turns
     bases = (np.cos(angles), np.sin(angles))
-    # the rows in two blocks by parity, each on its basis; the block of the
-    # last row comes last, for _count_mirrors leaves the last row single
+    # the rows in two blocks by parity, each on its basis
     first = rows // 2
     blocks = [(slice(None, first), bases[rows % 2]),
               (slice(first, None), bases[(rows - 1) % 2])]
     order = np.r_[rows % 2:rows:2, (rows - 1) % 2:rows:2]
+    multiplicity = _mirror_weights(rows, dim)[order]
     coupling = _beam_splitter(n_photons)[0][order, :half] * weights
 
     def objective(y: np.ndarray):
@@ -156,7 +154,8 @@ def _negative_information(n_photons: int, grid: PhaseGrid):
             np.matmul(coeffs[block], basis, out=amps[block])
         probs = _clamp_probs(np.square(amps))
         terms, log_ratio = _information_terms(probs, grid.weight)
-        _count_mirrors(dim, terms, log_ratio)
+        terms *= multiplicity
+        log_ratio *= multiplicity[:, None]
         np.multiply(amps, log_ratio, out=amps)
         for block, basis in blocks:
             np.matmul(amps[block], basis.T, out=coeffs[block])

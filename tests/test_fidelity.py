@@ -141,6 +141,23 @@ def test_rejects_unnormalized_columns():
         mutual_information(_table_from_rows(rows))
 
 
+def test_table_rejects_negative_entries():
+    # columns that sum to 1 around a negative cell gave H = 0.6293 bits, and
+    # the compound a "max defect nan" after a RuntimeWarning
+    probs = np.array([[0.5, 1.2, 0.5, 0.0], [0.5, -0.2, 0.5, 1.0]])
+    with pytest.raises(ValueError, match="must not be negative"):
+        LikelihoodTable(grid=PhaseGrid(4), probs=probs, n_total=1)
+
+
+def test_mirror_weights_double_entries_whose_mirror_is_left_out():
+    for total in range(1, 10):
+        for kept in range((total + 1) // 2, total + 1):
+            expected = [2.0 if total - 1 - n >= kept else 1.0 for n in range(kept)]
+            assert fidelity._mirror_weights(kept, total).tolist() == expected
+        # every entry kept, as on an odd grid: all count once
+        assert fidelity._mirror_weights(total, total).tolist() == [1.0] * total
+
+
 def test_table_rejects_probs_off_its_grid():
     # fock 1 on 16 points, labelled as 8 or 32 points, gave H = 0.0 or
     # 0.7218 bits instead of 0.4435, and a broadcast error in the compound
@@ -467,6 +484,29 @@ def _random_state(rng, n):
     return StateCoefficients(coeffs / np.linalg.norm(coeffs))
 
 
+def _mirror_pairs_by_loop(counts):
+    # the sign of v - reverse(v) at the first place they differ, found by a
+    # loop over half the bins
+    order = np.zeros(len(counts), dtype=np.int64)
+    bins = counts.shape[1]
+    for j in range(bins // 2):
+        np.copyto(order, np.sign(counts[:, j] - counts[:, bins - 1 - j]), where=order == 0)
+    keep = order <= 0
+    return counts[keep], np.where(order[keep] < 0, 2.0, 1.0)
+
+
+def test_mirror_pairs_match_the_loop_over_bins():
+    rng = np.random.default_rng(5)
+    for bins in range(1, 8):
+        counts = rng.integers(0, 4, size=(300, bins), dtype=np.int32)
+        counts[::5] += counts[::5, ::-1]  # palindromes
+        counts[1::7] = counts[1::7, :1]  # rows that repeat one value
+        kept, multiplicity = fidelity._mirror_pairs(counts)
+        expected_kept, expected_multiplicity = _mirror_pairs_by_loop(counts)
+        assert kept.dtype == expected_kept.dtype and np.array_equal(kept, expected_kept)
+        assert multiplicity.tobytes() == expected_multiplicity.tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_repeats_evaluate_one_vector_per_mirror_pair(monkeypatch, n):
     # on an even grid a count vector and its reverse have the same
@@ -656,6 +696,21 @@ def test_sensitivity_slope_is_exact(n):
 def test_sensitivity_stationary_point():
     with pytest.raises(StationaryPointError):
         error_propagation_sensitivity(fock_state(4), working_point=0.0)
+    # the tolerance scales with the slope's terms, and still passes a real
+    # slope: noon 1 at the random phases of the NOON test below
+    for phi in np.random.default_rng(0).uniform(-np.pi, np.pi, 40):
+        estimate = error_propagation_sensitivity(noon_state(1), working_point=phi)
+        assert math.isfinite(estimate.delta_phi)
+
+
+@pytest.mark.parametrize("n", [2, 3, 25, 150, 199, 200])
+def test_sensitivity_noon_mean_is_stationary_everywhere(n):
+    # the mean count of a NOON input with N >= 2 is N/2 at every phase; its
+    # computed slope is roundoff that grows with N, and an absolute 1e-12
+    # gave a finite delta_phi of 7e12 to 4e13 at N = 150, 199 and 200
+    for phi in np.random.default_rng(0).uniform(-np.pi, np.pi, 40):
+        with pytest.raises(StationaryPointError):
+            error_propagation_sensitivity(noon_state(n), working_point=phi)
 
 
 def test_reference_limits():
