@@ -23,8 +23,8 @@ from .exceptions import ResourceLimitError, StationaryPointError
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid, _integer
 from .optics import (DEFAULT_GEOMETRY, PROB_FLOOR, STATE_FAMILIES, InterferometerGeometry,
                      LikelihoodTable, StateCoefficients, likelihood_table, _check_columns,
-                     _clamp_probs, _half_grid_basis, _log_probs, _mirrors_by_half_period,
-                     _phase_amplitudes, _LOG_ZERO)
+                     _half_grid_basis, _log_probs, _mirrors_by_half_period, _reduced_phase,
+                     _LOG_ZERO)
 
 TWO_PI = 2.0 * math.pi
 LOG2_E = 1.0 / math.log(2.0)
@@ -345,24 +345,23 @@ def error_propagation_sensitivity(state: StateCoefficients,
                                   ) -> SensitivityEstimate:
     """Classical single-peak sensitivity estimate at a working point.
 
-    delta_phi = delta_m / |d mean(m) / d phi| for the count m = n_c (n_d =
-    N - n_c and n_c - n_d are affine in it and give the same delta_phi),
-    with its mean, its variance and the mean's exact slope (no difference
-    step) from the amplitudes A_m and their slopes dA_m/dphi
-    (:func:`~mzfidelity.optics._phase_amplitudes`), with dP_m/dphi =
-    2 Re(conj(A_m) dA_m/dphi).  A slope within roundoff of 0, |slope| < ``SLOPE_TOL``
-    max(1, sum_m m |dP_m/dphi|), leaves it undefined: :class:`StationaryPointError`.
+    delta_phi = delta_m / |d mean(m) / d phi| for the count m = n_c (n_d = N - n_c and
+    n_c - n_d, affine in it, give the same delta_phi), from moments of the input c in O(N)
+    (Yurke, McCall & Klauder, PRA 33, 4033 (1986)): m - N/2 = -(cos t J_z + sin t J_x), t
+    the phase plus ``geometry.offset``, J_z = n - N/2, (J_x c)_n = [sqrt(n (N-n+1)) c_(n-1)
+    + sqrt((n+1) (N-n)) c_(n+1)] / 2.  So the slope is sin t <J_z> - cos t <J_x> and delta_m
+    = |cos t (J_z - <J_z>) c + sin t (J_x - <J_x>) c|, exact where the count is nearly
+    certain.  |slope| < ``SLOPE_TOL`` max(1, N/2) raises :class:`StationaryPointError`.
     """
-    amps, slopes = _phase_amplitudes(state.coeffs, working_point, geometry, order=1).T
-    values = np.arange(state.n + 1, dtype=np.float64)
-    pmf = _clamp_probs(np.abs(amps) ** 2)
-    mean = float(values @ pmf)
-    variance = float((values ** 2) @ pmf) - mean ** 2
-    prob_slopes = 2.0 * (amps.conj() * slopes).real
-    slope = float(values @ prob_slopes)
-    if abs(slope) < SLOPE_TOL * max(1.0, float(values @ np.abs(prob_slopes))):
-        raise StationaryPointError(
-            f"mean observable is stationary at phi={float(working_point)!r}; "
-            "error propagation does not apply")
-    delta_m = math.sqrt(max(variance, 0.0))
+    c, n, t = state.coeffs, state.n, _reduced_phase(working_point) + geometry.offset
+    j_z = np.arange(n + 1) - 0.5 * n
+    ladder = 0.5 * np.sqrt(np.arange(1, n + 1) * np.arange(n, 0, -1.0))
+    j_x = np.concatenate([ladder * c[1:], [0.0]]) + np.concatenate([[0.0], ladder * c[:-1]])
+    mean_z, mean_x = float(j_z @ np.abs(c) ** 2), float(np.vdot(c, j_x).real)
+    slope = math.sin(t) * mean_z - math.cos(t) * mean_x
+    if abs(slope) < SLOPE_TOL * max(1.0, 0.5 * n):
+        raise StationaryPointError(f"mean observable is stationary at phi={float(working_point)!r}"
+                                   "; error propagation does not apply")
+    delta_m = float(np.linalg.norm(math.cos(t) * (j_z - mean_z) * c
+                                   + math.sin(t) * (j_x - mean_x * c)))
     return SensitivityEstimate(delta_phi=delta_m / abs(slope), delta_m=delta_m, slope=slope)

@@ -24,7 +24,7 @@ geometry is one phase offset (:attr:`InterferometerGeometry.offset`) and
 
     A_m(phi) = sum_n K[m, n] v_n e^(i n phi),  v = s K (p c) e^(i n offset)
 
-(:func:`_stage_vector`), evaluated with its slope at a single phase by
+(:func:`_stage_vector`), evaluated at a single phase by
 :func:`_phase_amplitudes`.  On the grid phi_k = -pi + 2 pi k / M, with X and
 Y the products of [Re K diag(v); Im K diag(v)] with cos n phi_k and
 sin n phi_k, A_m(+-phi_k) = X +- iY: one real product with a cached basis
@@ -338,24 +338,21 @@ def _stage_vector(coeffs: np.ndarray, geometry: InterferometerGeometry) -> np.nd
     return signs * (k @ (phases * coeffs)) * np.exp(1j * geometry.offset * np.arange(coeffs.size))
 
 
-def _phase_amplitudes(coeffs: np.ndarray, phi: float, geometry: InterferometerGeometry,
-                      order: int = 0) -> np.ndarray:
-    """Column j = 0..``order`` holds d^j A_m/dphi^j = sum_n K[m, n] v_n (i n)^j
-    e^(i n phi) of all N+1 outcomes at one phase: the amplitudes and, for
-    ``order`` 1, their exact slopes.  The product has no more columns, as
-    BLAS sums one column and two in different orders.
-
-    ValueError unless phi is finite; it is reduced by whole turns into
-    [-pi, pi] (``math.remainder``: exact, and phi itself there), so n phi
-    cannot overflow.  Outcomes that vanish identically come out as exact
-    zeros: each of their terms K[m, n] v_n has an exactly zero factor (an
-    integer Krawtchouk zero, or equal-magnitude terms of opposite sign).
-    """
+def _reduced_phase(phi) -> float:
+    """Finite phi (else ValueError) reduced exactly by whole turns into [-pi, pi]."""
     if not math.isfinite(phi := float(phi)):
         raise ValueError("phase values must be finite")
-    n = np.arange(coeffs.size)
-    stage = np.exp(1j * (n * math.remainder(phi, math.tau)))[:, None]
-    stage = stage * (1j * n[:, None]) ** np.arange(order + 1)
+    return math.remainder(phi, math.tau)
+
+
+def _phase_amplitudes(coeffs: np.ndarray, phi: float,
+                      geometry: InterferometerGeometry) -> np.ndarray:
+    """A_m = sum_n K[m, n] v_n e^(i n phi) of all N+1 outcomes at one phase, as an (N+1) x 1
+    column (BLAS sums a matrix-vector product in another order); phi is reduced so that n phi
+    cannot overflow (:func:`_reduced_phase`).  Outcomes that vanish identically are exact
+    zeros: each term K[m, n] v_n has an exact zero factor (an integer Krawtchouk zero, or a
+    v_n whose equal and opposite terms cancel)."""
+    stage = np.exp(1j * (np.arange(coeffs.size) * _reduced_phase(phi)))[:, None]
     return (_beam_splitter(coeffs.size - 1)[0] * _stage_vector(coeffs, geometry)) @ stage
 
 
@@ -376,18 +373,21 @@ def _check_columns(column_sums: np.ndarray) -> None:
 
 @dataclass(eq=False)
 class LikelihoodTable:
-    """P(m | phi_k) on a phase grid; row m is the outcome (m, N-m).  ValueError when built
-    unless probs is 2-D with one column per grid point, each finite, summing to 1 and
-    with no negative entry."""
+    """P(m | phi_k) on a phase grid, row m the outcome (m, N-m).  ValueError unless probs converts
+    to a 2-D float array with one finite column per grid point, summing to 1, none negative."""
 
     grid: PhaseGrid
     probs: np.ndarray
     n_total: int
 
     def __post_init__(self):
-        if np.ndim(self.probs) != 2 or np.shape(self.probs)[1] != self.grid.size:
+        try:
+            self.probs = np.asarray(self.probs).astype(float, casting="same_kind", copy=False)
+        except (TypeError, ValueError) as error:  # a ragged list, a dict, complex values, ..
+            raise ValueError(f"likelihoods must convert to a float array: {error}") from None
+        if self.probs.ndim != 2 or self.probs.shape[1] != self.grid.size:
             raise ValueError(f"a likelihood table on {self.grid} needs 2-D probs "
-                             f"with {self.grid.size} columns, got {np.shape(self.probs)}")
+                             f"with {self.grid.size} columns, got {self.probs.shape}")
         _check_columns(self.probs.sum(axis=0))
         if self.probs.min() < 0.0:  # after the sums, so a NaN keeps their error
             raise ValueError(f"likelihoods must not be negative, got {self.probs.min()!r}")

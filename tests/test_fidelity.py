@@ -149,6 +149,18 @@ def test_table_rejects_negative_entries():
         LikelihoodTable(grid=PhaseGrid(4), probs=probs, n_total=1)
 
 
+def test_table_converts_array_likes():
+    # a nested list raised AttributeError from the column check's .sum
+    rows = [[0.5] * 4, [0.5] * 4]
+    table = LikelihoodTable(grid=PhaseGrid(4), probs=rows, n_total=1)
+    assert isinstance(table.probs, np.ndarray) and table.probs.tolist() == rows
+    assert mutual_information(table).h_bits == 0.0
+    # a complex array is not cast, which would drop its imaginary part
+    for unconvertible in ([[0.5] * 4, [0.5] * 3], {"rows": rows}, np.full((2, 4), 0.5 + 0j)):
+        with pytest.raises(ValueError, match="must convert to a float array"):
+            LikelihoodTable(grid=PhaseGrid(4), probs=unconvertible, n_total=1)
+
+
 def test_mirror_weights_double_entries_whose_mirror_is_left_out():
     for total in range(1, 10):
         for kept in range((total + 1) // 2, total + 1):
@@ -685,19 +697,24 @@ def test_sensitivity_recovers_classical_scaling(n):
 
 @pytest.mark.parametrize("n", [1, 4, 16, 25, 40])
 def test_sensitivity_slope_is_exact(n):
-    # the mean count of the one-port input is N sin^2(phi/2): slope N sin(phi)/2
+    # the mean count of the one-port input is N sin^2(phi/2): slope N sin(phi)/2,
+    # and its spread is sqrt(N) |sin(phi)|/2, also where the count is nearly
+    # certain (a variance from the outcome pmf was 9.3e-3 off at N = 25, phi =
+    # pi - 1e-6; sqrt(N p (1 - p)) in floats is itself 4.4e-5 off there)
     rng = np.random.default_rng(n)
-    for phi in rng.uniform(0.3, np.pi - 0.3, size=4):
+    for phi in [*rng.uniform(0.3, np.pi - 0.3, size=4), np.pi - 1e-3, np.pi - 1e-6]:
         estimate = error_propagation_sensitivity(fock_state(n), working_point=phi)
         expected = n * math.sin(phi) / 2
         assert abs(estimate.slope - expected) <= 1e-12 * abs(expected)
+        spread = math.sqrt(n) * abs(math.sin(phi)) / 2
+        assert abs(estimate.delta_m - spread) <= 1e-14 * spread
 
 
 def test_sensitivity_stationary_point():
     with pytest.raises(StationaryPointError):
         error_propagation_sensitivity(fock_state(4), working_point=0.0)
-    # the tolerance scales with the slope's terms, and still passes a real
-    # slope: noon 1 at the random phases of the NOON test below
+    # the tolerance scales with N, and still passes a real slope: noon 1 at
+    # the random phases of the NOON test below (|slope| >= 0.062 there)
     for phi in np.random.default_rng(0).uniform(-np.pi, np.pi, 40):
         estimate = error_propagation_sensitivity(noon_state(1), working_point=phi)
         assert math.isfinite(estimate.delta_phi)
@@ -705,9 +722,9 @@ def test_sensitivity_stationary_point():
 
 @pytest.mark.parametrize("n", [2, 3, 25, 150, 199, 200])
 def test_sensitivity_noon_mean_is_stationary_everywhere(n):
-    # the mean count of a NOON input with N >= 2 is N/2 at every phase; its
-    # computed slope is roundoff that grows with N, and an absolute 1e-12
-    # gave a finite delta_phi of 7e12 to 4e13 at N = 150, 199 and 200
+    # the mean count of a NOON input with N >= 2 is N/2 at every phase: <J_x>
+    # is 0 and <J_z> is roundoff (at most 1.6e-15 here), which the tolerance,
+    # scaled by N/2, must not take for a slope
     for phi in np.random.default_rng(0).uniform(-np.pi, np.pi, 40):
         with pytest.raises(StationaryPointError):
             error_propagation_sensitivity(noon_state(n), working_point=phi)
