@@ -1,8 +1,12 @@
 """Command-line front end: batch computations with CSV/JSON output.
 
-Every run serializes a manifest (command, full parameter set, tool
-version, timestamp) so results can be reproduced from the manifest
-alone.  With ``--out PATH`` the primary output goes to PATH, a summary
+Every run serializes a manifest (command, parameters, tool version,
+timestamp) so results can be reproduced from the manifest alone.  The
+parameters are the parsed flags but ``--out``: each key is the flag
+without its dashes and with ``_`` for ``-``, each value what was given
+or else the flag's default (null for a flag without one), so the run
+replays as ``mzfidelity COMMAND --KEY=VALUE ...`` over the non-null
+parameters.  With ``--out PATH`` the primary output goes to PATH, a summary
 and any extra files to derived paths and the manifest to
 ``PATH.manifest.json``; without ``--out`` the primary output goes to
 stdout, extra files are not written, and the summary and manifest go to
@@ -128,8 +132,8 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(args, command: str, kind: str, primary: str, parameters: dict,
-          summary: dict = None, diagnostics: dict = None, files: dict = None) -> None:
+def _emit(args, kind: str, primary: str, summary: dict = None,
+          diagnostics: dict = None, files: dict = None) -> None:
     """Write a run's outputs; the only code that decides where they go.
 
     The ``primary`` text goes to ``--out`` or stdout.  With ``--out`` the
@@ -137,15 +141,16 @@ def _emit(args, command: str, kind: str, primary: str, parameters: dict,
     ``name: (suffix, make_text)`` to ``OUT<suffix>`` and the manifest to
     ``OUT.manifest.json``; without it ``files`` are neither formatted nor
     written, and the summary and manifest go to stderr as one document,
-    {"summary", "manifest"}.  The manifest's ``outputs`` name what was
-    written, under ``kind`` for the primary text.
+    {"summary", "manifest"}.  The manifest's command and parameters are
+    ``args`` as parsed, less ``command``, ``func`` and ``out``; its
+    ``outputs`` name what was written, under ``kind`` for the primary text.
     """
     out = str(Path(args.out)) if args.out else None
     outputs = {kind: out or "stdout"}
     manifest = {
-        "command": command,
-        "parameters": {"grid_size": args.grid, "kl1": args.kl1, "kl2": args.kl2,
-                       **parameters},
+        "command": args.command,
+        "parameters": {key: value for key, value in vars(args).items()
+                       if key not in ("command", "func", "out")},
         "outputs": outputs,
         "tool_version": __version__,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -177,9 +182,7 @@ def cmd_probs(args) -> None:
     state = _load(args)
     table = likelihood_table(state, _geometry(args), args.grid)
     header = ["phi"] + [f"P({n_c},{state.n - n_c})" for n_c in range(state.n + 1)]
-    _emit(args, "probs", "csv",
-          _csv(header, _float_lines(table.grid.points, table.probs.T)),
-          {"state": args.state, "n": state.n})
+    _emit(args, "csv", _csv(header, _float_lines(table.grid.points, table.probs.T)))
 
 
 def cmd_posterior(args) -> None:
@@ -205,9 +208,8 @@ def cmd_posterior(args) -> None:
         "circular_mean": None if mean is None else _round12(mean),
         "circular_std": None if std is None else _round12(std),
     }
-    _emit(args, "posterior", "csv",
+    _emit(args, "csv",
           _csv(["phi", "density"], _float_lines(posterior.grid.points, posterior.density)),
-          {"state": args.state, "n": state.n, "outcome": args.outcome},
           summary=summary)
 
 
@@ -233,8 +235,7 @@ def cmd_fidelity(args) -> None:
         rows = [(label, mutual_information(likelihood_table(_load(args), geometry, args.grid)))]
     csv_rows = (f"{label},{report.n_photons},{_fmt(report.h_bits)}"
                 for label, report in rows)
-    _emit(args, "fidelity", "csv", _csv(["state", "N", "H_bits"], csv_rows),
-          {"state": args.state, "sweep": args.sweep, "n": args.n, "n_max": args.n_max})
+    _emit(args, "csv", _csv(["state", "N", "H_bits"], csv_rows))
 
 
 def cmd_optimize(args) -> None:
@@ -260,10 +261,7 @@ def cmd_optimize(args) -> None:
         "evaluations": result.evaluations,
         "config": dataclasses.asdict(config),
     }
-    _emit(args, "optimize", "json", _json(payload),
-          {"n": args.n, "seed": args.seed, "restarts": config.restarts,
-           "max_iter": config.max_iterations, "tol_bits": config.tol_bits,
-           "search_grid": config.search_grid_size},
+    _emit(args, "json", _json(payload),
           # convergence records stay out of the primary JSON
           diagnostics={"restarts": result.restarts})
 
@@ -294,9 +292,7 @@ def cmd_simulate(args) -> None:
     rows = (f"{shot},{labels[n_c]}" for shot, n_c in enumerate(draws))
     posterior_csv = (".posterior.csv", lambda: _csv(
         ["phi", "density"], _float_lines(final.grid.points, final.density)))
-    _emit(args, "simulate", "csv", _csv(["shot", "n_c", "n_d"], rows),
-          {"state": args.state, "n": state.n, "phase": args.phase,
-           "shots": args.shots, "seed": args.seed},
+    _emit(args, "csv", _csv(["shot", "n_c", "n_d"], rows),
           summary=summary, files={"posterior_csv": posterior_csv})
 
 

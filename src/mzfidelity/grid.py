@@ -7,10 +7,11 @@ DEFAULT_GRID_SIZE = 8192
 
 def _integer(value, name: str, minimum: int = None) -> int:
     """``value`` as an int, or ValueError naming ``name`` if it is not an
-    integer (8.7, inf, NaN, None, "3") or is below ``minimum``."""
+    integer (8.7, inf, NaN, None, "3", True) or is below ``minimum``."""
     try:
         number = int(value)
-        valid = number == value and (minimum is None or number >= minimum)
+        valid = (number == value and not isinstance(value, (bool, np.bool_))
+                 and (minimum is None or number >= minimum))
     except (TypeError, OverflowError, ValueError):
         valid = False
     if not valid:

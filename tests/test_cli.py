@@ -443,23 +443,51 @@ def test_coefficient_file_errors(tmp_path, capsys):
 # manifests
 # ---------------------------------------------------------------------------
 
-def test_manifest_reproduces_run(tmp_path, capsys):
-    out_path = tmp_path / "probs.csv"
-    argv = ["probs", "--state", "noon", "--n", "3", "--grid", "32",
-            "--out", str(out_path)]
-    assert run_cli(argv, capsys)[0] == 0
-    manifest = json.loads((tmp_path / "probs.csv.manifest.json").read_text())
-    assert manifest["command"] == "probs"
+# one run of each subcommand and fidelity mode
+RUN_ARGVS = [
+    ["probs", "--state", "fock", "--n", "2", "--grid", "8"],
+    ["posterior", "--state", "fock", "--n", "2", "--outcome", "1,1", "--grid", "8"],
+    ["fidelity", "--state", "fock", "--n", "2", "--grid", "8"],
+    ["fidelity", "--sweep", "fock", "--n-max", "2", "--grid", "8"],
+    OPT_ARGS,
+    ["simulate", "--state", "fock", "--n", "2", "--phase", "0.3", "--shots", "5",
+     "--grid", "8"],
+]
+# stands for a coefficient file of MAX_PHOTONS + 1 lines, written by the test
+COEFFICIENT_FILE = "<coefficient file>"
+
+
+@pytest.mark.parametrize("argv", RUN_ARGVS + [
+    ["probs", "--state", COEFFICIENT_FILE, "--grid", "8"],
+    ["fidelity", "--state", COEFFICIENT_FILE, "--grid", "1024"],
+    ["simulate", "--state", "noon", "--n", "3", "--phase=-0.7", "--kl2=-1.1",
+     "--shots", "5", "--grid", "8"],
+])
+def test_manifest_reproduces_run(argv, tmp_path, capsys):
+    # N = MAX_PHOTONS, the largest a file may hold, read without --n; the
+    # space in the name must survive the replay
+    coefficients = tmp_path / "max photons.txt"
+    coefficients.write_text("".join(f"{math.cos(n)} {math.sin(n)}\n"
+                                    for n in range(cli.MAX_PHOTONS + 1)))
+    argv = [str(coefficients) if arg == COEFFICIENT_FILE else arg for arg in argv]
+    first, second = tmp_path / "first.out", tmp_path / "second.out"
+    assert run_cli(argv + ["--out", str(first)], capsys) == (0, "", "")
+    manifest = json.loads(Path(f"{first}.manifest.json").read_text())
+    assert manifest["command"] == argv[0]
     assert manifest["tool_version"]
-    first = out_path.read_bytes()
+    parsed = vars(cli.build_parser().parse_args(argv))
+    assert manifest["parameters"] == {key: value for key, value in parsed.items()
+                                      if key not in ("command", "func", "out")}
 
     # rebuild the invocation from the manifest alone
-    params = manifest["parameters"]
-    replay = ["probs", "--state", params["state"], "--n", str(params["n"]),
-              "--grid", str(params["grid_size"]), "--kl1", str(params["kl1"]),
-              "--kl2", str(params["kl2"]), "--out", str(out_path)]
-    assert run_cli(replay, capsys)[0] == 0
-    assert out_path.read_bytes() == first
+    replay = [manifest["command"]] + [f"--{key.replace('_', '-')}={value}"
+                                      for key, value in manifest["parameters"].items()
+                                      if value is not None]
+    assert run_cli(replay + ["--out", str(second)], capsys) == (0, "", "")
+    outputs = json.loads(Path(f"{second}.manifest.json").read_text())["outputs"]
+    assert outputs.keys() == manifest["outputs"].keys()
+    for name, path in manifest["outputs"].items():
+        assert Path(outputs[name]).read_bytes() == Path(path).read_bytes(), name
 
 
 def test_manifest_on_stderr_without_out(capsys):
@@ -503,15 +531,7 @@ def test_csv_is_locale_independent(capsys):
     assert out.count("\n") == 5  # header + 4 rows, trailing newline
 
 
-@pytest.mark.parametrize("argv", [
-    ["probs", "--state", "fock", "--n", "2", "--grid", "8"],
-    ["posterior", "--state", "fock", "--n", "2", "--outcome", "1,1", "--grid", "8"],
-    ["fidelity", "--state", "fock", "--n", "2", "--grid", "8"],
-    ["fidelity", "--sweep", "fock", "--n-max", "2", "--grid", "8"],
-    OPT_ARGS,
-    ["simulate", "--state", "fock", "--n", "2", "--phase", "0.3", "--shots", "5",
-     "--grid", "8"],
-])
+@pytest.mark.parametrize("argv", RUN_ARGVS)
 def test_manifest_outputs_name_every_file_written(argv, tmp_path, capsys):
     out_path = tmp_path / "run.out"
     assert run_cli(argv + ["--out", str(out_path)], capsys) == (0, "", "")

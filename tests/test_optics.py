@@ -71,7 +71,8 @@ def test_outcome_validation():
 
 # each documented integer check, called with a value that is no integer:
 # int() raises OverflowError for an infinity, ValueError for NaN and
-# TypeError for None, and "3" and 2.5 convert but do not equal their int
+# TypeError for None, "3" and 2.5 convert but do not equal their int, and
+# booleans equal their int but are no integers
 _INTEGER_CHECKS = {
     "PhaseGrid": (PhaseGrid, "grid size must be an integer >= 2"),
     "fock_state": (fock_state, "photon number must be an integer >= 0"),
@@ -88,7 +89,8 @@ _INTEGER_CHECKS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, None, "3", 2.5])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, None, "3", 2.5,
+                                   True, np.True_])
 @pytest.mark.parametrize("check", sorted(_INTEGER_CHECKS))
 def test_integer_checks_reject_non_finite_values(check, value):
     call, message = _INTEGER_CHECKS[check]
