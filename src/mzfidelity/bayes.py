@@ -127,18 +127,24 @@ def circular_summary(posterior: PhasePosterior):
 
     Uses the resultant z = weight sum_k p_k e^{i phi_k} = -weight sum_k p_k
     w^(k mod M), w = e^(2 pi i / M), from the grid's cached roots: mean =
-    arg z in (-pi, pi], std = sqrt(-2 ln |z|).  A zero-length resultant
-    (e.g. a uniform posterior) has no mean: :class:`UndefinedCircularMeanError`.
+    arg z in (-pi, pi], std = sqrt(-2 ln |z|).  Im z sums the differences
+    of the mirror pairs phi_k and -phi_k (k and M-2-k), each on one sine,
+    so a posterior with p(phi) = p(-phi) has Im z = 0 and a mean of
+    exactly 0 or pi.  A zero-length resultant (e.g. a uniform posterior)
+    has no mean: :class:`UndefinedCircularMeanError`.
     """
-    density, grid = posterior.density, posterior.grid
-    roots = _roots_of_unity(grid.size).view(np.float64).reshape(-1, 2)
-    real, imag = -grid.weight * (density[:-1] @ roots[1:] + (density[-1], 0.0))
+    density, size = posterior.density, posterior.grid.size
+    roots = _roots_of_unity(size).view(np.float64).reshape(-1, 2)
+    half = (size - 1) // 2  # the pairs; phi = pi, and 0 on an even grid, have sine 0
+    real = -posterior.grid.weight * (density[:-1] @ roots[1:, 0] + density[-1])
+    imag = -posterior.grid.weight * (
+        (density[:half] - density[size - 2:size - 2 - half:-1]) @ roots[1:half + 1, 1])
     resultant = math.hypot(real, imag)
     if resultant < RESULTANT_TOL:
         raise UndefinedCircularMeanError(
             f"circular resultant length {resultant} is numerically zero; "
             "the circular mean is undefined")
-    mean = math.atan2(imag, real)  # on (-pi, pi]: -pi, the same angle, is pi
+    mean = math.atan2(imag, real) + 0.0  # not -0.0; on (-pi, pi]: -pi is pi
     std = math.sqrt(-2.0 * math.log(min(resultant, 1.0))) + 0.0  # a point mass: not -0.0
     return (math.pi if mean == -math.pi else mean), std
 

@@ -12,19 +12,22 @@ amplitude is
     a_m(phi) = sum_{n<h} K[m, n] u_n z_n cos((n - N/2) phi),  sin for odd m,
 
 up to a phase, so the rows are two real products, one per parity of m,
-with bases built once per search.  With P = a^2, I_m = w sum_k P_mk and
-G = dH/dP = (w/2pi) log2(2pi P / I_m):
+with bases built once per search.  So P = a^2 is even in phi, P(m|phi) =
+P(m|-phi), and only the columns phi_k >= 0 are computed, each with weight
+c_k = 2 for itself and its mirror -phi_k, but c_k = 1 at phi = 0 and pi
+(on an odd grid pi is a grid point and 0 is not).  On an even grid only
+the rows m <= N/2 are computed, with the multiplicity mu_m of
+:func:`~mzfidelity.fidelity._mirror_weights` (1 on an odd grid).  With
+P = a^2, I_m = w sum_k c_k P_mk and G = (w/2pi) log2(2pi P / I_m):
 
-    H     = sum_m mu_m sum_k P_mk G_mk,
-    g_n   = sum_m K[m, n] u_n sum_k 2 mu_m a_mk G_mk basis_m[n, k],
+    H     = sum_m mu_m sum_k c_k P_mk G_mk,
+    g_n   = sum_m K[m, n] u_n sum_k 2 mu_m c_k a_mk G_mk basis_m[n, k],
     dH/dy = (g - u z (g . z)) / |b|,
 
-orthogonal to y, along which H is flat.  On an even grid only the rows
-m <= N/2 are computed, with the multiplicity mu_m of
-:func:`~mzfidelity.fidelity._mirror_weights` (1 on an odd grid).  H depends
-on no geometry, which only shifts P by its offset (the stage vector's
-factor e^(i n offset)), so the winner is c = conj(p) K (s b e^(-i n offset))
-(:func:`_class_state`), whose table under the geometry is the search's.
+orthogonal to y, along which H is flat.  H depends on no geometry, which
+only shifts P by its offset (the stage vector's factor e^(i n offset)), so
+the winner is c = conj(p) K (s b e^(-i n offset)) (:func:`_class_state`),
+whose table under the geometry is the search's.
 
 Each restart is an L-BFGS search (Liu and Nocedal, Math. Prog. 45, 503
 (1989)) with a strong Wolfe line search (Nocedal and Wright, *Numerical
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fidelity import TWO_PI, _information_terms, _mirror_weights, mutual_information
+from .fidelity import TWO_PI, _mirror_weights, mutual_information
 from .grid import DEFAULT_GRID_SIZE, PhaseGrid, _integer
 from .optics import (DEFAULT_GEOMETRY, InterferometerGeometry, StateCoefficients,
                      _beam_splitter, _clamp_probs, _distinct_rows, likelihood_table)
@@ -132,9 +135,12 @@ def _negative_information(n_photons: int, grid: PhaseGrid):
     dim, half, size = n_photons + 1, n_photons // 2 + 1, grid.size
     rows = _distinct_rows(n_photons, size)
     weights = _mirror_weights(half, dim)  # the middle entry b_{N/2} is its own mirror
+    # the columns phi_k >= 0, 2k - M = 0 or 1, .., M: P(m|phi) = P(m|-phi),
+    # so each counts twice but phi = 0 and pi, which are their own mirrors
+    steps = np.arange(size % 2, size + 1, 2)
+    columns = np.where(steps % size == 0, 1.0, 2.0)
     # (n - N/2) phi_k = (2n - N)(2k - M) pi / 2M, reduced exactly to [0, 2pi)
-    turns = np.multiply.outer(2 * np.arange(half) - n_photons,
-                              2 * np.arange(1, size + 1) - size) % (4 * size)
+    turns = np.multiply.outer(2 * np.arange(half) - n_photons, steps) % (4 * size)
     angles = (np.pi / (2 * size)) * turns
     bases = (np.cos(angles), np.sin(angles))
     # the rows in two blocks by parity, each on its basis
@@ -142,20 +148,25 @@ def _negative_information(n_photons: int, grid: PhaseGrid):
     blocks = [(slice(None, first), bases[rows % 2]),
               (slice(first, None), bases[(rows - 1) % 2])]
     order = np.r_[rows % 2:rows:2, (rows - 1) % 2:rows:2]
-    multiplicity = _mirror_weights(rows, dim)[order]
+    # each cell counts for its mirror row and its mirror column
+    cells = np.multiply.outer(_mirror_weights(rows, dim)[order], columns)
     coupling = _beam_splitter(n_photons)[0][order, :half] * weights
 
     def objective(y: np.ndarray):
         norm = math.sqrt(weights @ (y * y))
         unit = y / norm
         coeffs = coupling * unit
-        amps = np.empty((rows, size))
+        amps = np.empty((rows, columns.size))
         for block, basis in blocks:
             np.matmul(coeffs[block], basis, out=amps[block])
         probs = _clamp_probs(np.square(amps))
-        terms, log_ratio = _information_terms(probs, grid.weight)
-        terms *= multiplicity
-        log_ratio *= multiplicity[:, None]
+        # _information_terms with the column weights, which the tables' path does without
+        totals = grid.weight * np.einsum("mk,k->m", probs, columns)
+        with np.errstate(divide="ignore", invalid="ignore"):  # rows with I_m = 0
+            log_ratio = np.log2((TWO_PI / totals)[:, None] * probs)
+        log_ratio[~(probs > 0.0)] = 0.0
+        log_ratio *= cells
+        terms = (grid.weight / TWO_PI) * np.einsum("mk,mk->m", probs, log_ratio)
         np.multiply(amps, log_ratio, out=amps)
         for block, basis in blocks:
             np.matmul(amps[block], basis.T, out=coeffs[block])

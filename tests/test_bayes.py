@@ -350,10 +350,27 @@ def test_circular_mean_at_pi_is_pi(size):
     density = np.zeros(size)
     density[-1] = 1.0 / grid.weight
     assert circular_summary(PhasePosterior(grid=grid, density=density))[0] == math.pi
-    if size < 8192:  # Im z relative to Re z far under an ulp of pi, of either sign
-        # all mass at pi but a round-off tail at phi = 0 (1e-65 on two points)
-        table = likelihood_table(fock_state(3), grid_size=size)
-        assert circular_summary(posterior_for_outcome(table, Outcome(3, 0)))[0] == math.pi
+    # all mass at pi but a round-off tail at phi = 0 (1e-65 on two points)
+    table = likelihood_table(fock_state(3), grid_size=size)
+    assert circular_summary(posterior_for_outcome(table, Outcome(3, 0)))[0] == math.pi
+
+
+@pytest.mark.parametrize("size", [63, 64, 1024, 8192])
+def test_mirror_symmetric_posterior_mean_is_zero_or_pi(size):
+    # a fock input's likelihoods are even in phi, so Im z is exactly 0 and
+    # every defined mean is +0.0 or pi, not round-off such as -9e-16 or
+    # -3.1415926535897927 (fock 25, outcome (4, 21) and fock 2, (2, 0))
+    means = []
+    for n in range(1, 41):
+        table = likelihood_table(fock_state(n), grid_size=size)
+        for m in range(n + 1):
+            try:
+                means.append(circular_summary(posterior_for_outcome(table, Outcome(m, n - m)))[0])
+            except UndefinedCircularMeanError:
+                pass
+    assert len(means) > 800
+    assert all(mean == math.pi or (mean == 0.0 and math.copysign(1.0, mean) == 1.0)
+               for mean in means)
 
 
 def test_circular_summary_does_not_depend_on_thread_count():

@@ -17,6 +17,8 @@ from mzfidelity import (DEFAULT_GEOMETRY, InterferometerGeometry, OptimizerConfi
                         mutual_information, noon_state, optimize_input_state,
                         project_normalize)
 from mzfidelity.cli import MAX_PHOTONS, main
+from mzfidelity.fidelity import TWO_PI, _information_terms
+from mzfidelity.optics import _beam_splitter, _clamp_probs
 from mzfidelity.optimizer import (GRADIENT_TOL, _class_state, _lbfgs,
                                   _negative_information, _wolfe_step)
 
@@ -133,14 +135,54 @@ def test_objective_is_the_tables_information(n, geometry):
         assert -value == pytest.approx(_class_h(y, n, geometry, grid_size), abs=1e-14)
 
 
+def _full_grid_objective(n, grid, y):
+    """(-H, -dH/dy) from all N+1 rows on all M columns, no mirror counted
+    twice, with the objective's exactly reduced angles."""
+    half = n // 2 + 1
+    k = _beam_splitter(n)[0]
+    b = np.concatenate([y, y[:n + 1 - half][::-1]])
+    norm = np.linalg.norm(b)
+    z = b / norm
+    turns = np.multiply.outer(2 * np.arange(n + 1) - n,
+                              2 * np.arange(1, grid.size + 1) - grid.size) % (4 * grid.size)
+    angles = (np.pi / (2 * grid.size)) * turns
+    cos, sin = np.cos(angles), np.sin(angles)
+    real, imag = (k * z) @ cos, (k * z) @ sin
+    terms, log_ratio = _information_terms(_clamp_probs(real * real + imag * imag), grid.weight)
+    # dH/dz_n = (w/2pi) sum_mk L_mk dP_mk/dz_n, then off the scale direction
+    grad_z = (2.0 * grid.weight / TWO_PI) * np.einsum(
+        "mn,mn->n", k, (real * log_ratio) @ cos.T + (imag * log_ratio) @ sin.T)
+    grad_b = (grad_z - z * (grad_z @ z)) / norm
+    grad_y = grad_b[:half].copy()
+    grad_y[:n + 1 - half] += grad_b[half:][::-1]  # b_{N-n} = y_n
+    return -math.fsum(terms), -grad_y
+
+
+@pytest.mark.parametrize("grid_size", [1024, 1023, 2, 3])
+def test_half_grid_objective_matches_the_full_grid(grid_size):
+    # the objective computes the columns phi >= 0, pi and 0 once and the
+    # rest for their mirrors too, and on an even grid the rows m <= N/2
+    grid = PhaseGrid(grid_size)
+    rng = np.random.default_rng(grid_size)
+    for n in [*range(1, 13), 40, 200]:
+        objective = _negative_information(n, grid)
+        for _ in range(2):
+            y = rng.standard_normal(n // 2 + 1)
+            value, grad = objective(y)
+            full_value, full_grad = _full_grid_objective(n, grid, y)
+            assert abs(value - full_value) <= 2e-15
+            assert np.abs(grad - full_grad).max() <= 2e-15
+
+
 # ---------------------------------------------------------------------------
 # optimization
 # ---------------------------------------------------------------------------
 
 def test_objective_memory_is_linear_in_photon_number():
-    # the objective holds the (N/2 + 1) x grid cos and sin bases and the
-    # amplitudes of the N/2 + 1 rows it computes on an even grid, not an
-    # (N+1)^2 x grid tensor (105 MB at N = 40 on 4096 points)
+    # the objective holds the (N/2 + 1) x (M/2 + 1) cos and sin bases of
+    # the columns phi >= 0 and the amplitudes of the N/2 + 1 rows it
+    # computes on an even grid, not an (N+1)^2 x grid tensor (105 MB at
+    # N = 40 on 4096 points)
     y = np.random.default_rng(40).standard_normal(21)
     tracemalloc.start()
     try:
@@ -150,7 +192,7 @@ def test_objective_memory_is_linear_in_photon_number():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 << 20
+    assert peak < 3 << 20
 
 
 def test_objective_invariant_under_global_phase():
