@@ -25,9 +25,11 @@ RESULTANT_TOL = 1e-12
 
 @dataclass(eq=False)
 class PhasePosterior:
-    """Normalized posterior density p(phi_k | m), one value per point of a
-    phase grid (else ValueError); :func:`count_peaks` fills ``peaks`` with
-    (location, height) pairs sorted by location.
+    """Posterior density p(phi_k | m) on a phase grid: converted to float64
+    once, here, it must hold one finite, non-negative value per grid point
+    (else ValueError), and no reader checks it again; its normalization is
+    not checked.  :func:`count_peaks` fills ``peaks`` with (location,
+    height) pairs sorted by location.
     """
 
     grid: PhaseGrid
@@ -35,8 +37,11 @@ class PhasePosterior:
     peaks: list = field(default_factory=list)
 
     def __post_init__(self):
-        if np.shape(self.density) != (self.grid.size,):
-            raise ValueError(f"posterior density of shape {np.shape(self.density)} on {self.grid}")
+        self.density = np.asarray(self.density, dtype=np.float64)
+        if self.density.shape != (self.grid.size,):
+            raise ValueError(f"posterior density of shape {self.density.shape} on {self.grid}")
+        if not (self.density.min() >= 0.0 and self.density.max() < math.inf):  # NaN fails both
+            raise ValueError("posterior density values must be finite and non-negative")
 
 
 @dataclass(eq=False)
@@ -57,17 +62,16 @@ def posterior_density(likelihood_row, grid: PhaseGrid) -> PhasePosterior:
 
     p(phi_k|m) = P(m|phi_k) / sum_j P(m|phi_j) * weight.  A row that is
     zero everywhere has no posterior (the outcome cannot occur at any
-    phase) and raises :class:`ZeroProbabilityOutcomeError`; a negative or
-    non-finite value, or not one per grid point, raises ValueError.
+    phase) and raises :class:`ZeroProbabilityOutcomeError`; a row that
+    :class:`PhasePosterior` rejects raises its ValueError first.
     """
-    row = np.asarray(likelihood_row, dtype=np.float64)
-    if np.any(row < 0) or not np.all(np.isfinite(row)):
-        raise ValueError("likelihood values must be finite and non-negative")
-    norm = grid.integrate(row)
+    posterior = PhasePosterior(grid=grid, density=likelihood_row)
+    norm = grid.integrate(posterior.density)
     if norm <= 0.0:
         raise ZeroProbabilityOutcomeError(
             "outcome has zero probability at every phase; posterior undefined")
-    return PhasePosterior(grid=grid, density=row / norm)
+    posterior.density = posterior.density / norm  # not in place: the row may be a table's
+    return posterior
 
 
 def posterior_for_outcome(table: LikelihoodTable, outcome: Outcome) -> PhasePosterior:
@@ -91,35 +95,26 @@ def count_peaks(posterior: PhasePosterior) -> int:
     round-off ripple on flat stretches registers no structure.  A plateau
     counts once, at its midpoint with its maximum as height, and is a peak
     when strictly above both neighbour plateaus and the same threshold.
-    With fewer than two such steps the whole circle is one plateau and one
-    peak, starting at the step, else at the first exact change (else 0).
-    The peak list (location, height), sorted by location, is stored on
-    the posterior.
+    With fewer than two such steps the whole circle is one plateau, a peak
+    whatever its height, starting at the step, else at the first exact
+    change, else at 0.  The peak list (location, height), sorted by
+    location, is stored on the posterior.
     """
-    density = posterior.density
-    grid = posterior.grid
-    top = float(density.max())
-    tol = PEAK_REL_THRESHOLD * top
+    density, grid = posterior.density, posterior.grid
+    tol = PEAK_REL_THRESHOLD * density.max()
     step = np.abs(density - np.roll(density, 1))
     bounds = np.flatnonzero(step > tol)
-
-    def midpoint(start, length):
-        return _wrap_angle(grid.points[start] + 0.5 * (length - 1) * grid.weight)
-
-    if bounds.size < 2:
-        starts = bounds if bounds.size else np.flatnonzero(step)
-        start = int(starts[0]) if starts.size else 0
-        peaks = [(midpoint(start, grid.size), top)]
-    else:
-        # plateau maxima, from the density rolled to start at a boundary
-        heights = np.maximum.reduceat(np.roll(density, -bounds[0]), bounds - bounds[0])
-        lengths = np.diff(bounds, append=bounds[0] + grid.size)
-        is_peak = ((heights > np.roll(heights, 1)) & (heights > np.roll(heights, -1))
-                   & (heights > tol))
-        peaks = sorted((midpoint(int(bounds[i]), int(lengths[i])), float(heights[i]))
-                       for i in np.flatnonzero(is_peak))
-    posterior.peaks = peaks
-    return len(peaks)
+    if not bounds.size:
+        bounds = np.r_[np.flatnonzero(step), 0][:1]
+    # plateau maxima, from the density rolled to start at a boundary
+    heights = np.maximum.reduceat(np.roll(density, -bounds[0]), bounds - bounds[0])
+    lengths = np.diff(bounds, append=bounds[0] + grid.size)
+    is_peak = ((heights > np.roll(heights, 1)) & (heights > np.roll(heights, -1))
+               & (heights > tol))
+    kept = np.flatnonzero(is_peak) if bounds.size > 1 else [0]  # a lone plateau: a peak
+    centres = grid.points[bounds[kept]] + 0.5 * (lengths[kept] - 1) * grid.weight
+    posterior.peaks = sorted(zip(map(_wrap_angle, centres.tolist()), heights[kept].tolist()))
+    return len(posterior.peaks)
 
 
 def circular_summary(posterior: PhasePosterior):
@@ -189,6 +184,6 @@ def simulate_sequence(state: StateCoefficients,
     table = likelihood_table(state, geometry, grid.size)
     labels = [Outcome(n_c, state.n - n_c) for n_c in range(state.n + 1)]
     counts = np.bincount(draws, minlength=state.n + 1)
-    posterior = _posterior_from_log(table.log_likelihood(counts[None, :])[0], table.grid)
+    posterior = _posterior_from_log(table.log_likelihood(counts), table.grid)
     record = MeasurementRecord(outcomes=[labels[n_c] for n_c in draws.tolist()])
     return SimulationResult(record=record, final_posterior=posterior)

@@ -30,7 +30,8 @@ TWO_PI = 2.0 * math.pi
 LOG2_E = 1.0 / math.log(2.0)
 SLOPE_TOL = 1e-12
 # count vectors of a compound table, over all outcomes: a time cap, since
-# they are enumerated a block at a time
+# they are enumerated a block at a time; it caps the repeats too, whose
+# ln k! table holds 16 B per use even when one outcome leaves one vector
 MAX_COUNT_VECTORS = 1_000_000
 # cells in a block of the streamed compound table, count vectors times the
 # longer of outcomes and grid points: 1 MiB of float64, kept in cache
@@ -73,20 +74,18 @@ def heisenberg_limit(n: int) -> float:
     return 1.0 / n
 
 
-def _information_terms(probs: np.ndarray, weight: float):
-    """Row terms of H and the log ratio L = log2(2pi P_mk / I_m) they use.
+def _information_terms(probs: np.ndarray, weight: float) -> np.ndarray:
+    """Row terms (w/2pi) sum_k P_mk L_mk of H, with L = log2(2pi P_mk / I_m),
+    I_m = w sum_k P_mk, and L = 0 where P = 0.
 
-    H = (w/2pi) sum_mk P_mk L_mk is the ``math.fsum`` of the row terms (row
-    sums, whose order no BLAS thread count changes), and dH/dP_mk =
-    (w/2pi) L_mk because the terms from differentiating I_m cancel.  L is
-    0 where P = 0.
+    H is the ``math.fsum`` of the row terms (row sums, whose order no BLAS
+    thread count changes).
     """
     totals = weight * probs.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):  # rows with I_m = 0
         log_ratio = np.log2((TWO_PI / totals)[:, None] * probs)
     log_ratio[~(probs > 0.0)] = 0.0
-    rows = (weight / TWO_PI) * np.einsum("mk,mk->m", probs, log_ratio)
-    return rows, log_ratio
+    return (weight / TWO_PI) * np.einsum("mk,mk->m", probs, log_ratio)
 
 
 def _mirror_weights(kept: int, total: int) -> np.ndarray:
@@ -103,7 +102,7 @@ def mutual_information(table: LikelihoodTable) -> FidelityReport:
     m <= N/2, each m < N/2 twice and the middle row of an even N once.
     """
     rows = (table.outcome_count + 1) // 2 if _mirrors_by_half_period(table.probs) else None
-    terms = _information_terms(table.probs[:rows], table.grid.weight)[0]
+    terms = _information_terms(table.probs[:rows], table.grid.weight)
     terms *= _mirror_weights(len(terms), table.outcome_count)
     h = max(math.fsum(terms), 0.0)  # tiny negative round-off on flat tables
     return FidelityReport(h_bits=h, n_photons=table.n_total,
@@ -302,15 +301,15 @@ def repeated_mutual_information(table: LikelihoodTable, repeats: int) -> Fidelit
     vectors are enumerated, evaluated (:func:`_stream_compound`) and
     reduced to their terms (of H(V|phi) too with at most two outcomes), so
     at most two doubles per evaluated vector outlive its block.
-    More than ``MAX_COUNT_VECTORS`` vectors (over all outcomes) raise
-    ResourceLimitError before anything is enumerated.  The table's column
+    More than ``MAX_COUNT_VECTORS`` vectors (over all outcomes) or uses
+    raise ResourceLimitError before anything is allocated.  The table's column
     sums are checked when it is built, the compound table's here.
     """
     repeats = _integer(repeats, "repeats", minimum=1)
     n_vectors = math.comb(repeats + table.outcome_count - 1, repeats)
-    if n_vectors > MAX_COUNT_VECTORS:
-        raise ResourceLimitError(f"{n_vectors} compound count vectors exceed the "
-                                 f"cap of {MAX_COUNT_VECTORS}")
+    if max(n_vectors, repeats) > MAX_COUNT_VECTORS:
+        raise ResourceLimitError(f"{repeats} uses with {n_vectors} compound count vectors "
+                                 f"exceed the cap of {MAX_COUNT_VECTORS}")
 
     probs = table.probs[table.probs.any(axis=1)]
     binomial = len(probs) <= 2

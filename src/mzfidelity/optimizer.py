@@ -160,7 +160,8 @@ def _negative_information(n_photons: int, grid: PhaseGrid):
         for block, basis in blocks:
             np.matmul(coeffs[block], basis, out=amps[block])
         probs = _clamp_probs(np.square(amps))
-        # _information_terms with the column weights, which the tables' path does without
+        # _information_terms with the column weights, which the tables' path does without;
+        # dH/dP_mk = (w/2pi) L_mk, as the terms from differentiating I_m cancel
         totals = grid.weight * np.einsum("mk,k->m", probs, columns)
         with np.errstate(divide="ignore", invalid="ignore"):  # rows with I_m = 0
             log_ratio = np.log2((TWO_PI / totals)[:, None] * probs)

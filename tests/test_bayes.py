@@ -78,10 +78,22 @@ def test_posterior_impossible_outcome_raises():
 
 def test_posterior_rejects_bad_rows():
     grid = PhaseGrid(8)
-    with pytest.raises(ValueError):
+    # checked before the integral: not the zero-probability error
+    with pytest.raises(ValueError, match="finite and non-negative"):
         posterior_density(np.full(8, -1.0), grid)
     with pytest.raises(ValueError):
         posterior_density(np.ones(4), grid)
+    # a posterior checks its own values, however it was built
+    for bad in (math.nan, math.inf, -math.inf, -1e-300):
+        density = np.full(8, 0.125 / math.pi)
+        density[3] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            PhasePosterior(grid=grid, density=density)
+    # a list is converted once, and every reader takes the array
+    posterior = PhasePosterior(grid=grid, density=[0.0, 0.0, 1.0, 3.0, 1.0, 0.0, 0.0, 0.0])
+    assert posterior.density.dtype == np.float64
+    assert count_peaks(posterior) == 1
+    assert posterior.peaks == [(0.0, 3.0)]  # phi_3 = 0
 
 
 def test_posterior_rejects_density_off_its_grid():

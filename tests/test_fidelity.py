@@ -216,7 +216,7 @@ def test_translation_invariance():
 
 def _all_rows_information(table):
     """H as the sum of every row's terms, mirrored rows and all."""
-    return max(math.fsum(fidelity._information_terms(table.probs, table.grid.weight)[0]), 0.0)
+    return max(math.fsum(fidelity._information_terms(table.probs, table.grid.weight)), 0.0)
 
 
 def test_information_over_distinct_rows_matches_all_rows():
@@ -613,6 +613,11 @@ def test_repeats_resource_cap(monkeypatch):
     with monkeypatch.context() as patch, pytest.raises(ResourceLimitError):
         patch.setattr("mzfidelity.fidelity.MAX_COUNT_VECTORS", 1000)
         repeated_mutual_information(table, 100)
+    # one possible outcome is one count vector at any R, but ln k! holds R + 1
+    # entries: the cap counts the uses too, before anything is allocated
+    with monkeypatch.context() as patch, pytest.raises(ResourceLimitError):
+        patch.setattr("mzfidelity.fidelity.MAX_COUNT_VECTORS", 1000)
+        repeated_mutual_information(likelihood_table(fock_state(0), grid_size=32), 1001)
     with pytest.raises(ValueError):
         repeated_mutual_information(table, 0)
     # 46376 count vectors x 512 points is a 190 MB compound table; streamed

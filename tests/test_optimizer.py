@@ -17,7 +17,7 @@ from mzfidelity import (DEFAULT_GEOMETRY, InterferometerGeometry, OptimizerConfi
                         mutual_information, noon_state, optimize_input_state,
                         project_normalize)
 from mzfidelity.cli import MAX_PHOTONS, main
-from mzfidelity.fidelity import TWO_PI, _information_terms
+from mzfidelity.fidelity import TWO_PI
 from mzfidelity.optics import _beam_splitter, _clamp_probs
 from mzfidelity.optimizer import (GRADIENT_TOL, _class_state, _lbfgs,
                                   _negative_information, _wolfe_step)
@@ -148,7 +148,12 @@ def _full_grid_objective(n, grid, y):
     angles = (np.pi / (2 * grid.size)) * turns
     cos, sin = np.cos(angles), np.sin(angles)
     real, imag = (k * z) @ cos, (k * z) @ sin
-    terms, log_ratio = _information_terms(_clamp_probs(real * real + imag * imag), grid.weight)
+    probs = _clamp_probs(real * real + imag * imag)
+    # L = log2(2pi P_mk / I_m), I_m = w sum_k P_mk, and 0 where P = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log2((TWO_PI / (grid.weight * probs.sum(axis=1)))[:, None] * probs)
+    log_ratio[~(probs > 0.0)] = 0.0
+    terms = (grid.weight / TWO_PI) * np.einsum("mk,mk->m", probs, log_ratio)
     # dH/dz_n = (w/2pi) sum_mk L_mk dP_mk/dz_n, then off the scale direction
     grad_z = (2.0 * grid.weight / TWO_PI) * np.einsum(
         "mn,mn->n", k, (real * log_ratio) @ cos.T + (imag * log_ratio) @ sin.T)
